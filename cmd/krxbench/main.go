@@ -31,7 +31,6 @@ func main() {
 		funcs    = flag.Bool("funcs", false, "cycle-attributed per-function profile of the Table 1 suite (conservation-checked)")
 		stats    = flag.Bool("stats", false, "print the observability metric registry after the traced/profiled run")
 		blocks   = flag.Bool("blocks", true, "dispatch through the superblock engine where no probes are armed (bit-identical either way)")
-		compile  = flag.Bool("compile", true, "compile hot superblocks into per-opcode thunks (bit-identical either way; -compile=false keeps the interpreted block dispatcher)")
 		hot      = flag.Int("hot", 0, "block-formation hotness threshold: form a superblock after this many dispatches of an entry point (0 = engine default)")
 		iters    = flag.Int("iters", 10, "measured iterations per data point")
 		cacheDir = flag.String("cache-dir", "", "persistent artifact store directory: kernel images are reused across invocations instead of re-linked")
@@ -78,7 +77,7 @@ func main() {
 	}
 
 	if observe {
-		if err := runObserved(*traceOut, *funcs, *stats, *blocks, *compile, *hot); err != nil {
+		if err := runObserved(*traceOut, *funcs, *stats, *blocks, *hot); err != nil {
 			fail(err)
 		}
 		return
@@ -148,7 +147,7 @@ func main() {
 // Chrome trace-event JSON), the cycle-attributed function profiler, and the
 // metric registry. Tracing and profiling never perturb the emulated
 // machine, so the suite's cycle totals match an unobserved run exactly.
-func runObserved(traceOut string, funcs, stats, blocks, compile bool, hot int) error {
+func runObserved(traceOut string, funcs, stats, blocks bool, hot int) error {
 	presets := core.Presets()
 	cfg := presets[len(presets)-1]
 	tr := obs.NewTracer(1 << 16)
@@ -157,7 +156,6 @@ func runObserved(traceOut string, funcs, stats, blocks, compile bool, hot int) e
 		return err
 	}
 	k.CPU.SetBlockEngine(blocks)
-	k.CPU.SetBlockCompile(compile)
 	k.CPU.SetBlockHotThreshold(hot)
 	var prof *obs.Profiler
 	if funcs {

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/diversify"
 	"repro/internal/fuzz"
 	"repro/internal/fuzzd"
@@ -59,9 +60,8 @@ func run() error {
 	forkMode := flag.Bool("fork", false, "stand workers up as copy-on-write forks of one golden kernel instead of booting each (report is byte-identical either way)")
 	jsonOut := flag.Bool("json", false, "emit the report as machine-readable JSON (schema_version marks the format)")
 	traceOut := flag.String("trace", "", "record the campaign event stream (byte-identical for any -workers count); write Chrome trace-event JSON to this file")
-	stats := flag.Bool("stats", false, "print the observability metric registry after the campaign")
+	stats := flag.Bool("stats", false, "print the observability metric registry after the campaign (decode_cache.*, block_engine.* and dtlb.* sum over all workers; cpu.* reads worker 0 and is rewound by every iteration's snapshot restore)")
 	blocks := flag.Bool("blocks", true, "dispatch through the superblock engine (bit-identical either way; -blocks=false forces per-instruction stepping)")
-	compile := flag.Bool("compile", true, "compile hot superblocks into per-opcode thunks (bit-identical either way; -compile=false keeps the interpreted block dispatcher)")
 	hot := flag.Int("hot", 0, "block-formation hotness threshold: form a superblock after this many dispatches of an entry point (0 = engine default)")
 	serve := flag.Bool("serve", false, "run through the fault-tolerant fuzzd manager/worker service instead of the in-process scheduler")
 	leaseTimeout := flag.Duration("lease-timeout", time.Second, "serve: lease deadline; a lease unrenewed for this long is reclaimed and reassigned")
@@ -135,7 +135,6 @@ func run() error {
 			retries:      *retries,
 			chaosSpec:    *chaosSpec,
 			blocks:       *blocks,
-			compile:      *compile,
 			hot:          *hot,
 			jsonOut:      *jsonOut,
 			traceOut:     *traceOut,
@@ -162,7 +161,6 @@ func run() error {
 	}
 	for _, k := range ks {
 		k.CPU.SetBlockEngine(*blocks)
-		k.CPU.SetBlockCompile(*compile)
 		k.CPU.SetBlockHotThreshold(*hot)
 		k.CPU.SeedHotProfile(seedRips)
 	}
@@ -195,24 +193,34 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "krxfuzz: wrote %d trace events to %s\n", len(rep.Trace), *traceOut)
 	}
 	if *stats {
-		k, err := f.Kernel()
-		if err != nil {
-			return err
-		}
-		reg := obs.NewRegistry()
-		obs.RegisterCPU(reg, "cpu", k.CPU)
-		obs.RegisterDecodeCache(reg, "decode_cache", k.CPU)
-		obs.RegisterBlockEngine(reg, "block_engine", k.CPU)
-		obs.RegisterDataTLB(reg, "dtlb", k.CPU.AS)
-		obs.RegisterStore(reg, "store", kernel.BuildCache())
-		if opts.Fork {
-			// The first worker is the golden kernel every other worker
-			// forked from; its space carries the frame-sharing counters.
-			obs.RegisterFork(reg, "fork", kernel.Forks, func() *mem.AddressSpace { return k.CPU.AS })
-		}
-		fmt.Print(reg.Format())
+		fmt.Print(statsRegistry(ks, opts.Fork).Format())
 	}
 	return nil
+}
+
+// statsRegistry builds the -stats registry over the campaign's worker
+// kernels (worker order). The decode-cache, block-engine and data-TLB
+// gauges sum over every worker. cpu.* reads worker 0 only: its counters are
+// rewound by every iteration's snapshot restore, so they describe the last
+// restore point, not the campaign.
+func statsRegistry(ks []*kernel.Kernel, fork bool) *obs.Registry {
+	cpus := make([]*cpu.CPU, len(ks))
+	spaces := make([]*mem.AddressSpace, len(ks))
+	for i, k := range ks {
+		cpus[i], spaces[i] = k.CPU, k.CPU.AS
+	}
+	reg := obs.NewRegistry()
+	obs.RegisterCPU(reg, "cpu", ks[0].CPU)
+	obs.RegisterDecodeCache(reg, "decode_cache", cpus...)
+	obs.RegisterBlockEngine(reg, "block_engine", cpus...)
+	obs.RegisterDataTLB(reg, "dtlb", spaces...)
+	obs.RegisterStore(reg, "store", kernel.BuildCache())
+	if fork {
+		// The first worker is the golden kernel every other worker forked
+		// from; its space carries the frame-sharing counters.
+		obs.RegisterFork(reg, "fork", kernel.Forks, func() *mem.AddressSpace { return ks[0].CPU.AS })
+	}
+	return reg
 }
 
 type serveFlags struct {
@@ -221,7 +229,6 @@ type serveFlags struct {
 	retries      int
 	chaosSpec    string
 	blocks       bool
-	compile      bool
 	hot          int
 	jsonOut      bool
 	traceOut     string
@@ -242,7 +249,6 @@ func runServe(ctx context.Context, opts fuzz.Options, sf serveFlags) error {
 		Chaos:        fn,
 		Tune: func(k *kernel.Kernel) {
 			k.CPU.SetBlockEngine(sf.blocks)
-			k.CPU.SetBlockCompile(sf.compile)
 			k.CPU.SetBlockHotThreshold(sf.hot)
 		},
 	})

@@ -1,5 +1,5 @@
 // Block-engine bit-identity enforcement at system scale: the superblock
-// engine — interpreted or compiled to per-opcode thunks — must not change
+// engine — thunk arrays with flag-dead and cmp/jcc fusion — must not change
 // any architecturally visible outcome of the Table 1 suite, the paper's
 // attack scenarios, or a fuzzing campaign — and the fuzz report must stay
 // byte-identical across worker counts with the engine on. These runs are
@@ -16,19 +16,16 @@ import (
 	"repro/internal/kernel"
 )
 
-// blockMode names one (blocksOn, compileOn) engine configuration. compiled
-// is the default shipping configuration; interp exercises the interpreted
-// block dispatcher the compiler replaced; off is the single-step baseline.
+// blockMode names one engine configuration: blocks is the default shipping
+// configuration, off the single-step baseline.
 type blockMode struct {
-	name      string
-	blocksOn  bool
-	compileOn bool
+	name     string
+	blocksOn bool
 }
 
 var blockModes = []blockMode{
-	{"compiled", true, true},
-	{"interp", true, false},
-	{"off", false, false},
+	{"blocks", true},
+	{"off", false},
 }
 
 func bootBlocks(t *testing.T, cfg core.Config, m blockMode) *kernel.Kernel {
@@ -38,14 +35,12 @@ func bootBlocks(t *testing.T, cfg core.Config, m blockMode) *kernel.Kernel {
 		t.Fatal(err)
 	}
 	k.CPU.SetBlockEngine(m.blocksOn)
-	k.CPU.SetBlockCompile(m.compileOn)
 	return k
 }
 
-// TestTable1SuiteBlockEquivalence: every micro-op under block dispatch —
-// compiled and interpreted — must produce the identical cycle and
-// instruction totals as single-step, on the unprotected and the fully
-// protected columns.
+// TestTable1SuiteBlockEquivalence: every micro-op under block dispatch must
+// produce the identical cycle and instruction totals as single-step, on the
+// unprotected and the fully protected columns.
 func TestTable1SuiteBlockEquivalence(t *testing.T) {
 	for _, cfg := range equivConfigs() {
 		type outcome struct {
@@ -64,10 +59,8 @@ func TestTable1SuiteBlockEquivalence(t *testing.T) {
 			} else if !m.blocksOn && bs.Dispatches != 0 {
 				t.Fatalf("%s/%s: disabled engine dispatched: %+v", cfg.Name(), m.name, bs)
 			}
-			if m.compileOn && bs.Compiled == 0 {
-				t.Fatalf("%s/%s: compiler never ran", cfg.Name(), m.name)
-			} else if !m.compileOn && bs.Compiled != 0 {
-				t.Fatalf("%s/%s: disabled compiler ran: %+v", cfg.Name(), m.name, bs)
+			if bs.Compiled != bs.Formed {
+				t.Fatalf("%s/%s: %d of %d formed blocks lowered to thunks", cfg.Name(), m.name, bs.Compiled, bs.Formed)
 			}
 			return outcome{cycles: cycles, instrs: k.CPU.Instrs - instrs0}
 		}
@@ -130,9 +123,9 @@ func TestAttackScenariosBlockEquivalence(t *testing.T) {
 }
 
 // TestFuzzReportBlockInvariance: campaign reports must be byte-identical
-// across engine modes (compiled, interpreted, off) AND across -workers 1
-// and 4 — the worker-count invariance the deterministic scheduler
-// guarantees must survive the compiled dispatch path.
+// across engine modes (blocks, off) AND across -workers 1 and 4 — the
+// worker-count invariance the deterministic scheduler guarantees must
+// survive block dispatch.
 func TestFuzzReportBlockInvariance(t *testing.T) {
 	run := func(workers int, m blockMode) string {
 		f, err := fuzz.New(fuzz.Options{Iters: 96, Seed: 17, Config: core.Vanilla, Workers: workers})
@@ -145,7 +138,6 @@ func TestFuzzReportBlockInvariance(t *testing.T) {
 		}
 		for _, k := range ks {
 			k.CPU.SetBlockEngine(m.blocksOn)
-			k.CPU.SetBlockCompile(m.compileOn)
 		}
 		rep, err := f.Run()
 		if err != nil {

@@ -1,11 +1,10 @@
 // Emulator host-performance benchmarks: unlike every other measurement in
 // this package (which reports emulated cycles — numbers the acceleration
 // layers are forbidden to change), these measure host wall-clock of the
-// emulator itself in four modes: compiled superblocks + decode cache (the
-// default), interpreted superblocks + decode cache, decode cache only, and
-// neither. Each workload runs all four ways and the harness asserts the
-// emulated cycle totals are identical — the bit-identical-semantics
-// invariant — before reporting the speedups.
+// emulator itself in three modes: superblocks + decode cache (the
+// default), decode cache only, and neither. Each workload runs all three
+// ways and the harness asserts the emulated cycle totals are identical —
+// the bit-identical-semantics invariant — before reporting the speedups.
 
 package bench
 
@@ -20,27 +19,22 @@ import (
 	"repro/internal/kernel"
 )
 
-// EmuResult is one workload measured in four modes: compiled blocks +
-// decode cache, interpreted blocks + decode cache, decode cache only, and
-// neither. Cycles is the emulated total over the timed iterations; it is
-// asserted equal across all modes, so a single field suffices. Speedup
-// compares the decode cache against raw interpretation (cache_off /
-// cache_on, the PR 3 metric); BlockSpeedup compares interpreted block
-// dispatch against the decode-cache-only path (cache_on / blocks_on, the
-// PR 7 metric); CompiledSpeedup compares compiled thunk dispatch against
-// interpreted block dispatch (blocks_on / compiled, this PR's metric).
+// EmuResult is one workload measured in three modes: blocks + decode
+// cache, decode cache only, and neither. Cycles is the emulated total over
+// the timed iterations; it is asserted equal across all modes, so a single
+// field suffices. Speedup compares the decode cache against the uncached
+// path (cache_off / cache_on); BlockSpeedup compares block dispatch against
+// the decode-cache-only path (cache_on / blocks_on).
 type EmuResult struct {
-	Name            string  `json:"name"`
-	Iters           int     `json:"iters"`
-	Reps            int     `json:"reps"`
-	HostNsCompiled  int64   `json:"host_ns_per_op_compiled"`
-	HostNsBlocks    int64   `json:"host_ns_per_op_blocks_on"`
-	HostNsOn        int64   `json:"host_ns_per_op_cache_on"`
-	HostNsOff       int64   `json:"host_ns_per_op_cache_off"`
-	Speedup         float64 `json:"speedup"`
-	BlockSpeedup    float64 `json:"block_speedup"`
-	CompiledSpeedup float64 `json:"compiled_speedup"`
-	Cycles          uint64  `json:"emulated_cycles"`
+	Name         string  `json:"name"`
+	Iters        int     `json:"iters"`
+	Reps         int     `json:"reps"`
+	HostNsBlocks int64   `json:"host_ns_per_op_blocks_on"`
+	HostNsOn     int64   `json:"host_ns_per_op_cache_on"`
+	HostNsOff    int64   `json:"host_ns_per_op_cache_off"`
+	Speedup      float64 `json:"speedup"`
+	BlockSpeedup float64 `json:"block_speedup"`
+	Cycles       uint64  `json:"emulated_cycles"`
 }
 
 // EmuSchemaVersion identifies the JSON layout of EmuReport. Bump it on any
@@ -57,14 +51,16 @@ type EmuResult struct {
 // v7: added host_ns_per_op_compiled and compiled_speedup (block compiler:
 // per-opcode thunk specialization with flag-dead fusion); the blocks_on
 // mode now measures interpreted block dispatch (SetBlockCompile(false)).
-const EmuSchemaVersion = 7
+// v8: removed host_ns_per_op_compiled and compiled_speedup — blocks always
+// run thunks, so there is no interpreted block mode left to compare
+// against; host_ns_per_op_blocks_on measures the one block engine.
+const EmuSchemaVersion = 8
 
 // emuReps is the number of repetitions per mode; the reported time is the
 // minimum over them (the min estimates the noise-free cost; means are
-// biased up by arbitrary amounts of host interference). Five repetitions,
-// up from three: the compiled-vs-interpreted gate compares two fast modes
-// whose difference is a fraction of the scheduler noise on a shared host,
-// and min-of-3 left the ratio swinging across the 1.15 floor run to run.
+// biased up by arbitrary amounts of host interference). Five repetitions:
+// the block gate compares two fast modes whose difference can be a
+// fraction of the scheduler noise on a shared host.
 const emuReps = 5
 
 // ForkResult is one configuration's fork-mode measurement: what a kernel
@@ -119,7 +115,7 @@ type emuWorkload struct {
 	name string
 	warm int
 	mult int
-	make func(cacheOn, blocksOn, compileOn bool) (func() (uint64, error), error)
+	make func(cacheOn, blocksOn bool) (func() (uint64, error), error)
 }
 
 // RunTable1Suite executes every Table 1 micro-op once against k and returns
@@ -149,20 +145,17 @@ func table1Workload(cfg core.Config) emuWorkload {
 	return emuWorkload{
 		name: "table1-suite/" + cfg.Name(),
 		// Three warmup passes, not one: block formation waits out the
-		// hotness gate (BlockHotThreshold dispatches per entry point) and
-		// compilation waits out the lazy-lowering gate on top of that
-		// (blockCompileHot executions per block), so a single pass would
-		// leave formation and thunk-lowering work inside the timed window —
+		// hotness gate (BlockHotThreshold dispatches per entry point), so a
+		// single pass would leave formation work inside the timed window —
 		// ramp cost, not the steady state every mode is supposed to report.
 		warm: 3,
-		make: func(cacheOn, blocksOn, compileOn bool) (func() (uint64, error), error) {
+		make: func(cacheOn, blocksOn bool) (func() (uint64, error), error) {
 			k, err := kernel.Boot(cfg, kernel.WithCache())
 			if err != nil {
 				return nil, err
 			}
 			k.CPU.SetDecodeCache(cacheOn)
 			k.CPU.SetBlockEngine(blocksOn)
-			k.CPU.SetBlockCompile(compileOn)
 			return func() (uint64, error) { return RunTable1Suite(k) }, nil
 		},
 	}
@@ -180,7 +173,7 @@ func fuzzWorkload(cfg core.Config, seed int64) emuWorkload {
 		// same reason (see emuWorkload.mult).
 		warm: 8,
 		mult: 10,
-		make: func(cacheOn, blocksOn, compileOn bool) (func() (uint64, error), error) {
+		make: func(cacheOn, blocksOn bool) (func() (uint64, error), error) {
 			// NoCoverage: a campaign's coverage probe would disarm the block
 			// fast path (probes need per-instruction callbacks), turning the
 			// blocks-on and cache-only modes into the same code path and the
@@ -196,7 +189,6 @@ func fuzzWorkload(cfg core.Config, seed int64) emuWorkload {
 			}
 			k.CPU.SetDecodeCache(cacheOn)
 			k.CPU.SetBlockEngine(blocksOn)
-			k.CPU.SetBlockCompile(compileOn)
 			// The iteration counter restarts per mode, so both modes execute
 			// the identical (seed, i)-derived program sequence.
 			i := 0
@@ -221,19 +213,18 @@ func measureEmu(w emuWorkload, iters int) (EmuResult, error) {
 	iters *= max(w.mult, 1)
 	res := EmuResult{Name: w.name, Iters: iters, Reps: emuReps}
 	modes := []struct {
-		name                         string
-		cacheOn, blocksOn, compileOn bool
+		name              string
+		cacheOn, blocksOn bool
 	}{
-		{"compiled", true, true, true},
-		{"blocks+cache", true, true, false},
-		{"cache-only", true, false, false},
-		{"uncached", false, false, false},
+		{"blocks", true, true},
+		{"cache-only", true, false},
+		{"uncached", false, false},
 	}
-	var cycles [4]uint64
-	var host [4]time.Duration
+	var cycles [3]uint64
+	var host [3]time.Duration
 	for m, mode := range modes {
 		for rep := 0; rep < emuReps; rep++ {
-			run, err := w.make(mode.cacheOn, mode.blocksOn, mode.compileOn)
+			run, err := w.make(mode.cacheOn, mode.blocksOn)
 			if err != nil {
 				return res, fmt.Errorf("bench: %s: %w", w.name, err)
 			}
@@ -272,18 +263,14 @@ func measureEmu(w emuWorkload, iters int) (EmuResult, error) {
 		}
 	}
 	res.Cycles = cycles[0]
-	res.HostNsCompiled = host[0].Nanoseconds() / int64(iters)
-	res.HostNsBlocks = host[1].Nanoseconds() / int64(iters)
-	res.HostNsOn = host[2].Nanoseconds() / int64(iters)
-	res.HostNsOff = host[3].Nanoseconds() / int64(iters)
+	res.HostNsBlocks = host[0].Nanoseconds() / int64(iters)
+	res.HostNsOn = host[1].Nanoseconds() / int64(iters)
+	res.HostNsOff = host[2].Nanoseconds() / int64(iters)
 	if res.HostNsOn > 0 {
 		res.Speedup = float64(res.HostNsOff) / float64(res.HostNsOn)
 	}
 	if res.HostNsBlocks > 0 {
 		res.BlockSpeedup = float64(res.HostNsOn) / float64(res.HostNsBlocks)
-	}
-	if res.HostNsCompiled > 0 {
-		res.CompiledSpeedup = float64(res.HostNsBlocks) / float64(res.HostNsCompiled)
 	}
 	return res, nil
 }

@@ -140,77 +140,3 @@ func TestBlockEnginePerfGate(t *testing.T) {
 		}
 	}
 }
-
-// compiledSpeedupFloor returns the compiled_speedup floor for a benchmark
-// row: the ISSUE's acceptance bar is >= 1.15x on the table1-suite rows
-// (steady-state block dispatch, where thunk specialization is the whole
-// cost) and >= 1.0 everywhere else (fuzz rows amortize compilation over
-// fresh programs, so break-even is the contract).
-func compiledSpeedupFloor(name string) float64 {
-	if strings.HasPrefix(name, "table1-suite/") {
-		return 1.15
-	}
-	return 1.0
-}
-
-// TestCompiledEnginePerfGate gates the compiled-thunk dispatcher against
-// the interpreted block engine it replaces, in two layers:
-//
-//   - Static (always on): every row of the committed BENCH_emulator.json
-//     must carry compiled_speedup >= its floor. This holds the committed
-//     baseline honest — a PR cannot land a benchmark file in which the
-//     compiler loses to the interpreter it is supposed to beat.
-//   - Live (under KRX_PERF_GATE): the same floors re-measured on this
-//     host, within the KRX_PERF_GATE_PCT band. Like TestBlockEnginePerfGate
-//     it is a relative same-host comparison, so no goos/goarch check.
-func TestCompiledEnginePerfGate(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_emulator.json"))
-	if err != nil {
-		t.Fatalf("reading baseline: %v", err)
-	}
-	var base EmuReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("parsing baseline: %v", err)
-	}
-	if base.SchemaVersion != EmuSchemaVersion {
-		t.Fatalf("baseline schema_version %d, want %d: regenerate with krxbench -json",
-			base.SchemaVersion, EmuSchemaVersion)
-	}
-	if len(base.Results) == 0 {
-		t.Fatal("baseline has no emulator results")
-	}
-	for _, r := range base.Results {
-		floor := compiledSpeedupFloor(r.Name)
-		t.Logf("%s: baseline compiled %d ns/op vs blocks %d ns/op (compiled speedup %.3fx, floor %.2fx)",
-			r.Name, r.HostNsCompiled, r.HostNsBlocks, r.CompiledSpeedup, floor)
-		if r.CompiledSpeedup < floor {
-			t.Errorf("%s: committed baseline compiled_speedup %.3fx below the %.2fx floor: regenerate or fix the compiler",
-				r.Name, r.CompiledSpeedup, floor)
-		}
-	}
-
-	if os.Getenv("KRX_PERF_GATE") == "" {
-		t.Skip("live perf gate disarmed (set KRX_PERF_GATE=1 to re-measure compiled_speedup on this host)")
-	}
-	tolerance := 2.0
-	if s := os.Getenv("KRX_PERF_GATE_PCT"); s != "" {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("KRX_PERF_GATE_PCT: %v", err)
-		}
-		tolerance = v
-	}
-	cur, err := EmuBench(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range cur.Results {
-		floor := compiledSpeedupFloor(r.Name)
-		t.Logf("%s: compiled %d ns/op vs blocks %d ns/op (compiled speedup %.3fx, floor %.2fx)",
-			r.Name, r.HostNsCompiled, r.HostNsBlocks, r.CompiledSpeedup, floor)
-		if r.CompiledSpeedup < floor-tolerance/100 {
-			t.Errorf("%s: compiled dispatch speedup %.3fx below the %.2fx floor (band %.1f%%)",
-				r.Name, r.CompiledSpeedup, floor, tolerance)
-		}
-	}
-}

@@ -42,17 +42,15 @@ func TestEmuReportSchemaGolden(t *testing.T) {
 		GoOS:          "linux",
 		GoArch:        "amd64",
 		Results: []EmuResult{{
-			Name:            "table1-suite/Vanilla",
-			Iters:           10,
-			Reps:            3,
-			HostNsCompiled:  640,
-			HostNsBlocks:    800,
-			HostNsOn:        1000,
-			HostNsOff:       2500,
-			Speedup:         2.5,
-			BlockSpeedup:    1.25,
-			CompiledSpeedup: 1.25,
-			Cycles:          123456,
+			Name:         "table1-suite/Vanilla",
+			Iters:        10,
+			Reps:         3,
+			HostNsBlocks: 800,
+			HostNsOn:     1000,
+			HostNsOff:    2500,
+			Speedup:      2.5,
+			BlockSpeedup: 1.25,
+			Cycles:       123456,
 		}},
 		Fork: []ForkResult{{
 			Name:         "fork/Vanilla",

@@ -114,7 +114,7 @@ func TestBuildKeyDistinguishesConfigs(t *testing.T) {
 // pointer; a second config builds once more.
 func TestCacheSingleflight(t *testing.T) {
 	src := miniProg(t)
-	cache := NewCache()
+	cache := NewImageCache(nil)
 	cfg := Config{XOM: XOMSFI, SFILevel: sfi.O3, Diversify: true, RAProt: diversify.RAEncrypt, Seed: 1}
 
 	var wg sync.WaitGroup
@@ -157,7 +157,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheDistinguishesPrograms: the same config over two corpus
 // identities must not share an image.
 func TestCacheDistinguishesPrograms(t *testing.T) {
-	cache := NewCache()
+	cache := NewImageCache(nil)
 	cfg := Config{XOM: XOMSFI, SFILevel: sfi.O3}
 	r1, err := cache.Build(miniProg(t), "a", cfg)
 	if err != nil {
@@ -185,7 +185,7 @@ func TestCachedBuildEquivalence(t *testing.T) {
 		{XOM: XOMMPX, Diversify: true, RAProt: diversify.RADecoy, Seed: 1},
 		{XOM: XOMHideM, Seed: 1},
 	} {
-		cached, err := NewCache().Build(src, "mini", cfg)
+		cached, err := NewImageCache(nil).Build(src, "mini", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

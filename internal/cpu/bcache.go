@@ -29,9 +29,10 @@ import (
 // Two layers keep the dispatch cost amortized:
 //
 //   - Hotness-gated formation. Forming a block is not free: it decodes
-//     forward and copies a dense blkEnt slice. On short, snapshot/restore-
-//     heavy runs (a fuzz iteration is a few hundred instructions), eager
-//     formation at every executed RIP costs more than it saves. A per-offset
+//     forward and lowers the entries to a thunk array (compileBlock, with
+//     its flag-liveness pass). On short, snapshot/restore-heavy runs (a
+//     fuzz iteration is a few hundred instructions), eager formation at
+//     every executed RIP costs more than it saves. A per-offset
 //     heat counter on the page defers formation until an entry point has
 //     been dispatched BlockHotThreshold times (SetBlockHotThreshold; default
 //     DefaultBlockHotThreshold); cold offsets keep single-stepping through
@@ -75,10 +76,12 @@ import (
 //     mid-block check — their cached blocks revalidate at next entry, and
 //     their inbound chain links fail the generation checks and sever.
 //
-// Accounting stays per-instruction (Instrs++/Cycles+=cost before each
-// exec), not per-block: a mid-block trap must observe exactly the counter
-// state the single-step path would, or the bit-identical invariant breaks.
-// The precomputed block cost and count feed the limit guard and the stats.
+// A block is its entries' thunks (thunk.go), lowered once at formation:
+// the dispatch loop calls them in order and charges Instrs/Cycles for the
+// whole (possibly partial) run from the cumulative sums in cthunk. Every
+// entry that began executing — including one that trapped — is charged, so
+// a mid-block trap observes exactly the counter state the single-step path
+// would. The precomputed instruction count feeds the limit guard.
 
 // BlockStats reports superblock-engine behaviour for one CPU. All counters
 // except Blocks are cumulative: they survive page flushes, SetBlockEngine
@@ -92,7 +95,7 @@ type BlockStats struct {
 	Chained    uint64 // block-to-block transitions that bypassed the dispatcher
 	Severed    uint64 // successor links invalidated by the generation checks
 	Cold       uint64 // block dispatch attempts deferred by the hotness gate
-	Compiled   uint64 // blocks lowered to specialized thunks (cumulative)
+	Compiled   uint64 // blocks lowered to thunk arrays (cumulative; every block lowers when it forms)
 	Fused      uint64 // block entries whose flag computation the liveness pass elided
 	Blocks     uint64 // blocks currently live (on pages that would still validate)
 }
@@ -128,14 +131,14 @@ const (
 )
 
 // entryFlags classifies one decoded instruction for block formation and for
-// the block compiler's flag-liveness pass (thunk.go). The classification is
+// the block lowering's flag-liveness pass (thunk.go). The classification is
 // conservative by construction: an opcode missing from the trap-free list is
 // dcTrap, an opcode missing from the writer list never kills liveness, and
 // an opcode missing from the reader list is protected by the block-exit and
 // dcTrap rules. Only misclassifying an op as dcFW (claiming it always writes
 // all arithmetic flags and cannot fault) or omitting a genuine flag reader
 // from dcFR could break bit-identity — both lists below name exactly the
-// exec.go cases with those properties.
+// thunk.go constructors with those properties.
 func entryFlags(op isa.Opcode) uint8 {
 	var f uint8
 
@@ -191,18 +194,6 @@ func entryFlags(op isa.Opcode) uint8 {
 	return f
 }
 
-// blkEnt is one instruction of a formed block: a dense copy of the decode
-// cache's entry, laid out contiguously so the dispatch loop walks a single
-// cache-friendly array instead of chasing indices into dcPage.entries.
-// Copies are safe because any event that could stale the decoded form
-// (frame content change, remap) flushes the page's blocks wholesale.
-type blkEnt struct {
-	in    isa.Instr
-	cost  uint64
-	ilen  uint8
-	flags uint8
-}
-
 // blkLink is one cached successor edge of a block, filled in lazily the
 // first time the block exits toward that successor. Following it must be
 // exactly as safe as a fresh blockLookup, which chainNext guarantees by
@@ -229,49 +220,29 @@ type blkLink struct {
 	fgen  uint64
 }
 
-// dcBlock is one superblock: consecutive instructions of its page,
-// terminator (if any) last, plus its lazily resolved successor links.
-// When the block compiler is enabled, comp holds one specialized thunk per
-// entry (same indices as ents), lowered lazily once the block has proved
-// steady-state reuse (blockCompileHot dispatches); ents stays the decoded
-// source of truth (nil-fn entries are interpreted from it, and so is the
-// whole block while compilation is off or pending). Both slices are
-// immutable once set, so COW forks share them; the dcBlock VALUE — links,
-// execs, the comp slice header — is cloned per fork (fork.go), so the
-// lazy lowering and the per-CPU dispatch count never race across forks.
+// dcBlock is one superblock: the thunks of consecutive instructions of its
+// page, terminator (if any) last, plus its lazily resolved successor links.
+// The thunk array is immutable once formed, so COW forks share it; the
+// dcBlock VALUE — links and the slice header — is cloned per fork
+// (fork.go).
 type dcBlock struct {
-	ents  []blkEnt
-	comp  []cthunk // compiled thunks; nil while uncompiled (off, or still cold)
-	count uint64   // len(ents): the Run fast path's limit guard
-	cost  uint64   // cumulative static cycle cost of the block
+	comp  []cthunk // one per entry, minus one when the tail cmp/jcc pair fused
+	count uint64   // instructions in the block: the Run fast path's limit guard
 	blen  uint64   // byte length: entry VA + blen = fallthrough VA
-	execs uint32   // dispatches by this CPU, for the lazy-compile gate
 	taken blkLink
 	fall  blkLink
 }
 
-// blockCompileHot is how many times a formed block must dispatch before it
-// is lowered to compiled thunks. Compilation allocates a closure per
-// specialized entry — cheap against any reuse, pure waste on one-shot code.
-// The fuzz workloads are exactly that worst case: a fresh program every
-// iteration lands on page offsets the heat counters already proved hot (heat
-// survives flushes by design), so its blocks FORM on first dispatch and then
-// die at the next iteration's flush. At 2, such single-use blocks stay
-// interpreted while anything with real reuse — kernel handlers, benchmark
-// loops — is lowered on its second dispatch.
-const blockCompileHot = 2
-
 // formBlock builds (and registers) the block starting at page offset off,
-// decoding forward as needed. It returns the blkIdx value for off: >0 for
-// blocks[i-1], -1 when no block can start here (a cached #UD or an
-// undecidable page-tail offset — the single-step path owns those).
-// Compilation does NOT happen here: it is deferred to runBlock's
-// lazy-compile gate, so one-shot blocks never pay it.
+// decoding forward as needed, and lowers it to its thunk array. It returns
+// the blkIdx value for off: >0 for blocks[i-1], -1 when no block can start
+// here (a cached #UD or an undecidable page-tail offset — the single-step
+// path owns those).
 func (p *dcPage) formBlock(off int, c *CPU) int32 {
 	dc := c.dc
 	start := off
-	var ents []blkEnt
-	var cost, blen uint64
+	var ents []*dcEntry
+	var blen uint64
 	for off < mem.PageSize {
 		i := p.idx[off]
 		if i == 0 {
@@ -284,9 +255,11 @@ func (p *dcPage) formBlock(off int, c *CPU) int32 {
 			// the dispatch loop falls back to Step for the offset itself.
 			break
 		}
+		// Pointers stay valid while later fills append: entries are
+		// never rewritten in place until the page flushes, and a flush
+		// cannot happen mid-formation.
 		e := &p.entries[i-1]
-		ents = append(ents, blkEnt{in: e.in, cost: e.cost, ilen: e.ilen, flags: e.flags})
-		cost += e.cost
+		ents = append(ents, e)
 		blen += uint64(e.ilen)
 		if e.flags&dcEnd != 0 {
 			break
@@ -297,11 +270,13 @@ func (p *dcPage) formBlock(off int, c *CPU) int32 {
 		p.blkIdx[start] = -1
 		return -1
 	}
-	b := dcBlock{ents: ents, count: uint64(len(ents)), cost: cost, blen: blen}
-	p.blocks = append(p.blocks, b)
+	comp, fused := compileBlock(ents, p.va+uint64(start))
+	p.blocks = append(p.blocks, dcBlock{comp: comp, count: uint64(len(ents)), blen: blen})
 	bi := int32(len(p.blocks))
 	p.blkIdx[start] = bi
 	c.bstats.Formed++
+	c.bstats.Compiled++
+	c.bstats.Fused += fused
 	return bi
 }
 
@@ -385,50 +360,29 @@ func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
 		e := &p.entries[i-1]
 		c.Instrs++
 		c.Cycles += e.cost
-		return c.exec(&e.in, c.RIP+uint64(e.ilen))
+		return e.fn(c)
 	case i < 0:
 		// Cached deterministic decode failure: same #UD the slow path
 		// would raise, with no Instrs/Cycles side effects.
-		return StepContinue, &Trap{Kind: TrapUndefined, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
+		return StepContinue, c.trapAt(TrapUndefined)
 	}
 	// Page-tail straddler the cache cannot own: fetch across the boundary.
 	return c.stepSlow()
 }
 
-// runBlock executes one superblock. When the block was compiled it walks
-// the thunk array (runBlockCompiled); otherwise it interprets the entry
-// array through the shared exec() switch. Either way every instruction is
-// charged individually, so a trap anywhere in the block observes exactly
-// the Instrs/Cycles/register state the single-step path would have
-// produced. complete reports that every entry executed with no trap, stop,
-// or self-modification abort — the only state from which chaining into a
-// successor is allowed.
+// runBlock executes one superblock: a direct call per thunk, no
+// per-instruction lookup or accounting — the whole (possibly partial) run
+// is charged in one shot from the cumulative cycle sums. complete reports
+// that every entry executed with no trap, stop, or self-modification abort
+// — the only state from which chaining into a successor is allowed.
 func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, complete bool) {
-	if b.comp == nil && c.compile {
-		// Lazy lowering: compile only blocks that prove steady-state reuse.
-		// Every dispatcher enters a block at its entry, so c.RIP here is the
-		// entry VA the compiler constant-folds successor addresses against.
-		if b.execs++; b.execs >= blockCompileHot {
-			var fused uint64
-			b.comp, fused = compileBlock(b.ents, c.RIP)
-			c.bstats.Compiled++
-			c.bstats.Fused += fused
-		}
-	}
-	if b.comp != nil {
-		return c.runBlockCompiled(p, b)
-	}
-	dc := c.dc
 	fgen := p.fgen
 	frame := p.frame
-	last := len(b.ents) - 1
-	var done uint64
-	for i := range b.ents {
-		e := &b.ents[i]
-		c.Instrs++
-		c.Cycles += e.cost
-		done++
-		stop, trap = c.exec(&e.in, c.RIP+uint64(e.ilen))
+	last := len(b.comp) - 1
+	i := 0
+	for {
+		ct := &b.comp[i]
+		stop, trap = ct.fn(c)
 		if trap != nil || stop != StepContinue {
 			break
 		}
@@ -440,75 +394,27 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, comp
 			complete = true
 			break
 		}
-		if e.flags&dcStore != 0 && (frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
+		if ct.flags&dcStore != 0 && (frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
 			// The store landed on this very frame (directly or through an
 			// alias) — or broke copy-on-write on a frozen executable page,
 			// which repoints the mapping at a fresh frame under a mapGen
 			// bump without touching the old frame's gen. Either way the
 			// rest of the block is stale. Resync through the dispatch loop —
-			// its next lookup re-resolves, flushes, and redecodes.
-			c.bstats.Aborts++
-			break
-		}
-	}
-	// Batched bookkeeping: each executed instruction is a decode-cache hit
-	// and a block-engine instruction. Nothing inside exec reads these, so
-	// deferring them off the hot loop cannot be observed mid-block.
-	dc.stats.Hits += done
-	c.bstats.Instrs += done
-	c.bstats.Dispatches++
-	return stop, trap, complete
-}
-
-// runBlockCompiled is runBlock over the compiled thunk array: a direct call
-// per instruction, no exec-switch dispatch, no operand re-resolution, and
-// no per-instruction accounting — the whole (possibly partial) run is
-// charged in one shot from the compiler's cumulative cycle sums. The
-// control skeleton — trap/stop break, last-entry completion, post-store
-// generation re-check — is identical to the interpreted loop, so both
-// produce the same architectural trace by construction and differ only in
-// host wall-clock.
-func (c *CPU) runBlockCompiled(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, complete bool) {
-	fgen := p.fgen
-	frame := p.frame
-	last := len(b.comp) - 1
-	i := 0
-	for {
-		ct := &b.comp[i]
-		if ct.fn != nil {
-			stop, trap = ct.fn(c)
-		} else {
-			// Entry with no specialized form: interpret it exactly as the
-			// interpreted loop would (base cost is covered by the batched
-			// accounting below; variable extras, e.g. string-op units, are
-			// added by exec itself). c.RIP is this instruction's VA — thunks
-			// (and exec) advance RIP only on success.
-			e := &b.ents[i]
-			stop, trap = c.exec(&e.in, c.RIP+uint64(e.ilen))
-		}
-		if trap != nil || stop != StepContinue {
-			break
-		}
-		if i == last {
-			complete = true
-			break
-		}
-		if ct.flags&dcStore != 0 && (frame.Gen() != fgen || c.AS.MapGen() != p.mgen) {
-			// Self-modification resync — see the interpreted loop. The
+			// its next lookup re-resolves, flushes, and redecodes. The
 			// liveness pass treated every dcStore entry as a possible block
-			// exit, so flags are architectural here even when later entries
-			// promised to overwrite them.
+			// exit, so flags are architectural here.
 			c.bstats.Aborts++
 			break
 		}
 		i++
 	}
 	// Batched accounting: every entry that began executing — including one
-	// that trapped — is charged, exactly as the interpreted loop's
-	// per-instruction preamble does. The cumulative fields (not i) supply
-	// the totals because a tail-fused entry retires two instructions.
-	// Nothing reads Instrs/Cycles mid-block (limit checks and chain
-	// budgeting run between dispatches), so the deferral is unobservable.
+	// that trapped — is charged, as the single-step path charges before it
+	// executes. The cumulative fields (not i) supply the totals because a
+	// tail-fused entry retires two instructions. Nothing reads
+	// Instrs/Cycles mid-block (limit checks and chain budgeting run between
+	// dispatches), so the deferral is unobservable; dynamic cycles (REP
+	// string elements) were already added by the thunk itself.
 	done := uint64(b.comp[i].ni)
 	c.Instrs += done
 	c.Cycles += b.comp[i].cyc
@@ -614,32 +520,11 @@ func (c *CPU) SetBlockEngine(on bool) {
 // also requires the decode cache to be enabled to take effect).
 func (c *CPU) BlockEngineEnabled() bool { return c.blocks && c.dc != nil }
 
-// SetBlockCompile enables or disables the block compiler (on by default):
-// with it on, superblocks that reach blockCompileHot dispatches are lowered
-// to specialized per-opcode thunks with flag-dead arithmetic fusion
-// (thunk.go); with it off, blocks dispatch through the exec interpreter
-// switch exactly as in the pre-compiler engine. Toggling drops already-formed blocks so the whole engine runs in
-// one mode (heat counters survive — hot code re-forms immediately); the
-// cumulative Compiled/Fused counters live on the CPU and survive. Execution
-// semantics are bit-identical either way — only host wall-clock changes. It
-// has no effect while the block engine or decode cache is off.
-func (c *CPU) SetBlockCompile(on bool) {
-	if c.compile == on {
-		return
-	}
-	c.compile = on
-	if c.dc != nil {
-		for _, p := range c.dc.pages {
-			p.blocks = nil
-			p.blkIdx = [mem.PageSize]int32{}
-		}
-	}
-}
-
-// BlockCompileEnabled reports whether newly formed superblocks are compiled
-// to specialized thunks (it takes effect only while the block engine and
-// decode cache are enabled).
-func (c *CPU) BlockCompileEnabled() bool { return c.compile }
+// SetBlockCompile is a no-op kept for source compatibility.
+//
+// Deprecated: superblocks are always lowered to per-opcode thunks when
+// they form; there is no interpreted block dispatcher left to select.
+func (c *CPU) SetBlockCompile(bool) {}
 
 // SetBlockHotThreshold sets the number of times a block entry offset must
 // be dispatched before a superblock is formed over it. 1 forms eagerly on

@@ -228,7 +228,7 @@ func FuzzBlockEquivalence(f *testing.F) {
 			cycles    uint64
 			memory    []byte
 		}
-		run := func(cacheOn, blocksOn, compileOn bool, hot int) outcome {
+		run := func(cacheOn, blocksOn bool, hot int) outcome {
 			as := mem.NewAddressSpace()
 			for _, m := range []struct {
 				va   uint64
@@ -249,7 +249,6 @@ func FuzzBlockEquivalence(f *testing.F) {
 			c := New(as)
 			c.SetDecodeCache(cacheOn)
 			c.SetBlockEngine(blocksOn)
-			c.SetBlockCompile(compileOn)
 			c.SetBlockHotThreshold(hot)
 			c.Mode = Kernel
 			c.RIP = dcCodeVA
@@ -288,25 +287,23 @@ func FuzzBlockEquivalence(f *testing.F) {
 			return o
 		}
 
-		// The reference is the fully uncached interpreter (fetch+decode+exec
-		// per instruction); against it: cached single-step, interpreted
-		// blocks (eager and behind the default hotness gate — mixing
-		// single-step and block dispatch of the same code), and compiled
-		// blocks (same two gates — specialized thunks with flag-dead
-		// fusion). All must be bit-identical.
-		off := run(false, false, false, 1)
+		// The reference is the fully uncached path (fetch+decode and a
+		// freshly built flags-live thunk per instruction); against it:
+		// cached single-step and blocks (eager and behind the default
+		// hotness gate — mixing single-step and block dispatch of the same
+		// code — with flag-dead fusion and cmp/jcc tail fusion). All must be
+		// bit-identical.
+		off := run(false, false, 1)
 		for _, m := range []struct {
-			name                     string
-			cache, blocks, compileOn bool
-			hot                      int
+			name          string
+			cache, blocks bool
+			hot           int
 		}{
-			{"cache-only", true, false, false, 1},
-			{"blocks(hot=1)", true, true, false, 1},
-			{"blocks(hot=default)", true, true, false, DefaultBlockHotThreshold},
-			{"compiled(hot=1)", true, true, true, 1},
-			{"compiled(hot=default)", true, true, true, DefaultBlockHotThreshold},
+			{"cache-only", true, false, 1},
+			{"blocks(hot=1)", true, true, 1},
+			{"blocks(hot=default)", true, true, DefaultBlockHotThreshold},
 		} {
-			on := run(m.cache, m.blocks, m.compileOn, m.hot)
+			on := run(m.cache, m.blocks, m.hot)
 			if on.res != off.res || on.trap != off.trap ||
 				on.faultKind != off.faultKind || on.faultAddr != off.faultAddr ||
 				on.regs != off.regs || on.rip != off.rip || on.flags != off.flags ||

@@ -197,8 +197,7 @@ type CPU struct {
 
 	// dc is the predecoded translation cache (see dcache.go); nil when
 	// disabled. blocks arms the superblock engine layered on it (see
-	// bcache.go), compile the block compiler layered on THAT (see
-	// thunk.go), blockHot the hotness-gate threshold, and bstats/dstats
+	// bcache.go), blockHot the hotness-gate threshold, and bstats/dstats
 	// the cumulative block-engine and decode-cache counters (on the CPU,
 	// not the cache, so both survive cache toggles under one reset
 	// contract — see BlockStats/DecodeCacheStats). All affect host
@@ -206,21 +205,20 @@ type CPU struct {
 	// bit-identical with them on or off.
 	dc       *decodeCache
 	blocks   bool
-	compile  bool
 	blockHot uint32
 	seedHot  map[uint64]struct{} // entry RIPs exempt from the hotness ramp
 	bstats   BlockStats
 	dstats   DecodeCacheStats
 }
 
-// New creates a CPU over the given address space. The decode cache, the
-// superblock engine, and the block compiler are on by default;
-// SetDecodeCache(false) reverts to fetch+decode per instruction,
-// SetBlockEngine(false) to per-instruction dispatch over cached decodes,
-// and SetBlockCompile(false) to interpreted block dispatch.
+// New creates a CPU over the given address space. The decode cache and the
+// superblock engine are on by default; SetDecodeCache(false) reverts to
+// fetch+decode per instruction, and SetBlockEngine(false) to
+// per-instruction dispatch over cached decodes. Every configuration runs
+// the same per-opcode thunks (thunk.go).
 func New(as *mem.AddressSpace) *CPU {
 	c := &CPU{AS: as, MSRs: make(map[uint64]uint64),
-		blocks: true, compile: true, blockHot: DefaultBlockHotThreshold}
+		blocks: true, blockHot: DefaultBlockHotThreshold}
 	c.dc = newDecodeCache(&c.dstats)
 	return c
 }
@@ -419,8 +417,8 @@ func (c *CPU) Run(limit uint64) *RunResult {
 	return res
 }
 
-// stepStop is an internal "keep going" sentinel distinct from the exported
-// stop reasons.
+// StepContinue is the "keep going" result of Step and of every thunk,
+// distinct from the exported stop reasons.
 const StepContinue StopReason = 0xFF
 
 // Step executes one instruction. It returns a stop reason (StepContinue to
@@ -428,24 +426,24 @@ const StepContinue StopReason = 0xFF
 func (c *CPU) Step() (StopReason, *Trap) {
 	// Fetch.
 	if c.Mode == User && c.RIP >= UpperHalf {
-		return StepContinue, &Trap{Kind: TrapProtection, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
+		return StepContinue, c.trapAt(TrapProtection)
 	}
 	if c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf {
 		// SMEP: supervisor-mode execution prevention (blocks ret2usr).
-		return StepContinue, &Trap{Kind: TrapProtection, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
+		return StepContinue, c.trapAt(TrapProtection)
 	}
 	if c.dc != nil {
 		if e, ud, ok := c.dc.lookup(c.AS, c.RIP); ok {
 			if ud {
 				// Cached deterministic decode failure: same #UD the slow
 				// path would raise, with no Instrs/Cycles side effects.
-				return StepContinue, &Trap{Kind: TrapUndefined, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
+				return StepContinue, c.trapAt(TrapUndefined)
 			}
 			c.Instrs++
 			rip := c.RIP
 			before := c.Cycles
 			c.Cycles += e.cost
-			stop, trap := c.exec(&e.in, c.RIP+uint64(e.ilen))
+			stop, trap := e.fn(c)
 			if c.probe != nil {
 				c.notifyExec(rip, &e.in, c.Cycles-before)
 			}
@@ -458,7 +456,9 @@ func (c *CPU) Step() (StopReason, *Trap) {
 // stepSlow is the uncached fetch+decode+execute path: the fallback when the
 // decode cache is off, the address is not executable (the Fetch fault is
 // authoritative), or the instruction straddles a page boundary the cache
-// cannot own. Callers have already passed the fetch privilege checks.
+// cannot own. It builds the instruction's thunk and calls it once — the
+// same semantics every cached path runs. Callers have already passed the
+// fetch privilege checks.
 func (c *CPU) stepSlow() (StopReason, *Trap) {
 	n, f := c.AS.Fetch(c.RIP, c.fetchBuf[:])
 	if f != nil {
@@ -466,14 +466,13 @@ func (c *CPU) stepSlow() (StopReason, *Trap) {
 	}
 	in, ilen, err := isa.Decode(c.fetchBuf[:n])
 	if err != nil {
-		return StepContinue, &Trap{Kind: TrapUndefined, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
+		return StepContinue, c.trapAt(TrapUndefined)
 	}
 	c.Instrs++
 	rip := c.RIP
 	before := c.Cycles
 	c.Cycles += in.Cost()
-	next := c.RIP + uint64(ilen)
-	stop, trap := c.exec(&in, next)
+	stop, trap := compileEnt(&in, c.RIP+uint64(ilen))(c)
 	if c.probe != nil {
 		c.notifyExec(rip, &in, c.Cycles-before)
 	}

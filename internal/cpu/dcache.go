@@ -12,9 +12,9 @@ import (
 // Kernel text is immutable between rare, explicit patch events, yet the
 // baseline Step paid a byte-at-a-time page walk plus a full isa.Decode for
 // every executed instruction. The cache decodes each executable page once —
-// lazily, from the first offset actually executed — into {Instr, cost, len}
-// entries indexed by page offset, so the steady-state Step is a slice index
-// and a dispatch.
+// lazily, from the first offset actually executed — into {Instr, thunk,
+// cost, len} entries indexed by page offset, so the steady-state Step is a
+// slice index and a thunk call.
 //
 // Correctness rests on two generation counters, validated on every lookup:
 //
@@ -61,9 +61,13 @@ type DecodeCacheStats struct {
 	Entries       uint64 // decoded entries currently live
 }
 
-// dcEntry is one predecoded instruction.
+// dcEntry is one predecoded instruction and its flags-live thunk
+// (thunk.go). The thunk is built in fill, when the entry is decoded, and
+// never afterwards: forks share entry slices with their parent (fork.go),
+// so an entry must be complete before any CPU can see it.
 type dcEntry struct {
 	in    isa.Instr
+	fn    thunk
 	cost  uint64
 	ilen  uint8
 	flags uint8 // dcEnd/dcStore/dcFW/dcFR/dcTrap classification (bcache.go)
@@ -72,10 +76,12 @@ type dcEntry struct {
 // dcPage caches the decoded instructions of one executable virtual page,
 // plus the superblocks formed over them (bcache.go).
 type dcPage struct {
+	va      uint64     // virtual base address: anchors the thunks' successor addresses
 	frame   *mem.Frame // resolved frame; nil when last resolution failed
 	fgen    uint64     // frame.Gen() the entries were decoded against
 	mgen    uint64     // AddressSpace.MapGen() the frame was resolved at
 	entries []dcEntry
+	shared  bool // entries' backing array is shared with a fork (fork.go)
 	blocks  []dcBlock
 	// idx maps page offset -> decode slot: 0 = not yet decoded,
 	// >0 = entries[idx-1], -1 = deterministic in-page decode failure (#UD).
@@ -94,7 +100,13 @@ type dcPage struct {
 // flush discards every cached decode — and every block formed over them —
 // on the page.
 func (p *dcPage) flush() {
-	p.entries = p.entries[:0]
+	if p.shared {
+		// Another CPU of the fork family still executes these entries:
+		// decode into a fresh array instead of overwriting them in place.
+		p.entries, p.shared = nil, false
+	} else {
+		p.entries = p.entries[:0]
+	}
 	p.blocks = p.blocks[:0]
 	p.idx = [mem.PageSize]int32{}
 	p.blkIdx = [mem.PageSize]int32{}
@@ -124,7 +136,8 @@ func (p *dcPage) fill(off int, stats *DecodeCacheStats) {
 			p.idx[off] = -1
 			return
 		}
-		p.entries = append(p.entries, dcEntry{in: in, cost: in.Cost(), ilen: uint8(ilen), flags: entryFlags(in.Op)})
+		next := p.va + uint64(off+ilen)
+		p.entries = append(p.entries, dcEntry{in: in, fn: compileEnt(&in, next), cost: in.Cost(), ilen: uint8(ilen), flags: entryFlags(in.Op)})
 		p.idx[off] = int32(len(p.entries))
 		stats.Decoded++
 		off += ilen
@@ -166,7 +179,7 @@ func (dc *decodeCache) resolvePage(as *mem.AddressSpace, rip uint64) *dcPage {
 	if p == nil || sl.base != base {
 		p = dc.pages[base]
 		if p == nil {
-			p = &dcPage{}
+			p = &dcPage{va: base}
 			dc.pages[base] = p
 		}
 		sl.p, sl.base = p, base

@@ -545,3 +545,31 @@ func encodeProgF(prog ...isa.Instr) []byte {
 	}
 	return b
 }
+
+// TestForkFlushKeepsSharedEntries: a fork shares its parent's decoded
+// entries. When the child rewrites the code and redecodes the page, the
+// parent must keep executing its own bytes — the child's redecode may not
+// land in the backing array the two share.
+func TestForkFlushKeepsSharedEntries(t *testing.T) {
+	parent := rawCPU(t, mem.PermX, isa.MovRI(isa.RAX, 1), isa.Ret())
+	parent.SetBlockEngine(false) // dispatch straight from the shared entries
+	mustReturn(t, parent, 100)
+	as, err := parent.AS.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := parent.Fork(as)
+	if err := child.AS.Poke(dcCodeVA, encodeProg(t, isa.MovRI(isa.RAX, 2), isa.Ret())); err != nil {
+		t.Fatal(err)
+	}
+	resetRaw(t, child)
+	mustReturn(t, child, 100)
+	if child.Reg(isa.RAX) != 2 {
+		t.Fatalf("child ran stale code: rax = %d, want 2", child.Reg(isa.RAX))
+	}
+	resetRaw(t, parent)
+	mustReturn(t, parent, 100)
+	if parent.Reg(isa.RAX) != 1 {
+		t.Fatalf("parent ran the child's code: rax = %d, want 1", parent.Reg(isa.RAX))
+	}
+}

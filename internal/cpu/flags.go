@@ -6,9 +6,9 @@ import (
 	"repro/internal/isa"
 )
 
-// Flag computation helpers, shared by the exec interpreter switch (exec.go)
-// and the compiled per-opcode thunks (thunk.go). All ALU operations are
-// 64-bit. The block compiler's liveness pass elides calls to these entirely
+// Flag computation helpers, called by the per-opcode thunks (thunk.go) and
+// the string-op helpers (string.go). All ALU operations are 64-bit. The
+// block lowering's liveness pass elides calls to these entirely
 // for arithmetic whose flag results are provably overwritten before any
 // observable read (see compileBlock); everywhere else they define the
 // architectural %rflags contents bit for bit.

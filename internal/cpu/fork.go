@@ -14,9 +14,11 @@ import "repro/internal/mem"
 // until the child itself patches code (a CoW break swaps the frame behind a
 // MapGen bump, which the same validation catches). Entry slices are shared
 // with the parent capacity-clamped — the parent appending more decodes
-// reallocates rather than touching the shared backing array — and block
-// slices are deep-copied because chain links are re-pointed in place as
-// they sever and re-form.
+// reallocates rather than touching the shared backing array — and both
+// pages are marked shared, so a flush on either side starts a fresh array
+// instead of redecoding over entries the other still runs. Block slices
+// are deep-copied because chain links are re-pointed in place as they
+// sever and re-form.
 //
 // Probes and trap probes are deliberately not carried over, mirroring
 // State/RestoreState: observers are per-worker wiring, not machine state.
@@ -44,7 +46,6 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 		savedUserBnd0:  c.savedUserBnd0,
 		inSyscall:      c.inSyscall,
 		blocks:         c.blocks,
-		compile:        c.compile,
 		blockHot:       c.blockHot,
 		seedHot:        c.seedHot, // read-only after SeedHotProfile; aliasable
 		MSRs:           make(map[uint64]uint64, len(c.MSRs)),
@@ -65,14 +66,15 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 // capacity-clamped, and block slices are deep-copied with their chain links
 // re-pointed at the cloned pages — a link into a page the clone does not
 // carry is severed, never followed into the parent's cache. The dcBlock
-// value copy shares each block's ents and comp arrays with the parent:
-// both are immutable after formation, and compiled thunks capture only
-// decoded operand constants (never a *CPU), so the child executes the
-// parent's thunks against its own state.
+// value copy shares each block's thunk array with the parent: it is
+// immutable after formation, and thunks capture only decoded operand
+// constants (never a *CPU), so the child executes the parent's thunks
+// against its own state.
 func (dc *decodeCache) clone(stats *DecodeCacheStats) *decodeCache {
 	nd := newDecodeCache(stats)
 	remap := make(map[*dcPage]*dcPage, len(dc.pages))
 	for base, p := range dc.pages {
+		p.shared = true
 		np := new(dcPage)
 		*np = *p
 		np.entries = p.entries[:len(p.entries):len(p.entries)]

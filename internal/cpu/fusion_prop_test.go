@@ -8,7 +8,7 @@ import (
 	"repro/internal/mem"
 )
 
-// Flag-fusion soundness tests: the block compiler's liveness pass
+// Flag-fusion soundness tests: the block lowering's liveness pass
 // (compileBlock) elides CF/OF/SF/ZF/PF computation for arithmetic whose
 // results are provably dead. These tests attack that proof from two sides —
 // a property test over random straight-line ALU programs with injected
@@ -39,7 +39,7 @@ type fusionOutcome struct {
 // hotness gate, so hot=DefaultBlockHotThreshold genuinely mixes stepped and
 // block-dispatched executions of the same bytes — and returns the outcome
 // of every repeat plus the CPU's cumulative Fused count.
-func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bool, hot int) ([]fusionOutcome, uint64) {
+func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn bool, hot int) ([]fusionOutcome, uint64) {
 	t.Helper()
 	as := mem.NewAddressSpace()
 	for _, m := range []struct {
@@ -61,7 +61,6 @@ func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn, compileOn bo
 	c := New(as)
 	c.SetDecodeCache(cacheOn)
 	c.SetBlockEngine(blocksOn)
-	c.SetBlockCompile(compileOn)
 	c.SetBlockHotThreshold(hot)
 
 	var outs []fusionOutcome
@@ -179,31 +178,31 @@ func genFusionProgram(rng *rand.Rand) []isa.Instr {
 
 // TestFusionFlagProperty is the fused-thunk flag-semantics property test:
 // for random straight-line ALU programs with injected flag observers, block
-// boundaries, and traps, every engine configuration — uncached interpreter,
-// cache-only, interpreted blocks, compiled blocks eager and hotness-gated —
-// must agree on ALL of CF/OF/SF/ZF/PF (the full %rflags), registers,
-// Instrs, Cycles, and the trap, at every run boundary and at every injected
-// trap. The uncached interpreter is the semantic reference.
+// boundaries, and traps, every engine configuration — cache-only, and
+// blocks eager and hotness-gated — must agree with the uncached path on ALL
+// of CF/OF/SF/ZF/PF (the full %rflags), registers, Instrs, Cycles, and the
+// trap, at every run boundary and at every injected trap. Only blocks run
+// fused thunks, so the uncached path — flags-live thunks, one per executed
+// instruction — is the reference for the fusion.
 func TestFusionFlagProperty(t *testing.T) {
 	modes := []struct {
-		name                     string
-		cache, blocks, compileOn bool
-		hot                      int
+		name          string
+		cache, blocks bool
+		hot           int
 	}{
-		{"cache-only", true, false, false, 1},
-		{"blocks-interp", true, true, false, 1},
-		{"compiled-hot1", true, true, true, 1},
-		{"compiled-gated", true, true, true, DefaultBlockHotThreshold},
+		{"cache-only", true, false, 1},
+		{"blocks-hot1", true, true, 1},
+		{"blocks-gated", true, true, DefaultBlockHotThreshold},
 	}
 	var totalFused uint64
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := genFusionProgram(rng)
 		code := encodeProg(t, prog...)
-		ref, _ := runFusionProgram(t, code, false, false, false, 1)
+		ref, _ := runFusionProgram(t, code, false, false, 1)
 		for _, m := range modes {
-			got, fused := runFusionProgram(t, code, m.cache, m.blocks, m.compileOn, m.hot)
-			if m.name == "compiled-hot1" {
+			got, fused := runFusionProgram(t, code, m.cache, m.blocks, m.hot)
+			if m.name == "blocks-hot1" {
 				totalFused += fused
 			}
 			for rep := range ref {
@@ -312,20 +311,16 @@ func TestCompileFusionCounts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := rawCPU(t, mem.PermX, tc.prog...)
 			c.SetBlockHotThreshold(1)
-			// Lowering is lazy: each block compiles on its blockCompileHot'th
-			// dispatch, so run the program that many times.
-			for rep := 0; rep < blockCompileHot; rep++ {
-				resetRaw(t, c)
-				res := c.Run(1024)
-				if res.Trap != nil {
-					t.Fatalf("rep %d trapped: %v", rep, res.Trap)
-				}
+			// Blocks lower to thunks when they form, on first dispatch here.
+			if res := c.Run(1024); res.Trap != nil {
+				t.Fatalf("trapped: %v", res.Trap)
 			}
-			if got := c.BlockStats().Fused; got != tc.fused {
-				t.Fatalf("Fused = %d, want %d (stats %+v)", got, tc.fused, c.BlockStats())
+			bs := c.BlockStats()
+			if bs.Fused != tc.fused {
+				t.Fatalf("Fused = %d, want %d (stats %+v)", bs.Fused, tc.fused, bs)
 			}
-			if c.BlockStats().Compiled == 0 {
-				t.Fatal("no block compiled")
+			if bs.Compiled == 0 || bs.Compiled != bs.Formed {
+				t.Fatalf("Compiled = %d, want every formed block (%d) lowered", bs.Compiled, bs.Formed)
 			}
 		})
 	}

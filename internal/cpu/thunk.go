@@ -6,36 +6,41 @@ import (
 	"repro/internal/isa"
 )
 
-// The block compiler: per-opcode dispatch specialization.
+// Opcode semantics: per-opcode thunks.
 //
-// The superblock engine (bcache.go) amortizes lookup and validation over
-// straight-line regions, but until this layer every instruction inside a
-// block still re-entered the ~400-line exec switch: opcode dispatch, operand
-// field loads, effective-address shape branches, access-size normalization,
-// and the full CF/OF/SF/ZF/PF computation on every ALU op. All of that is
-// invariant for a given decoded instruction at a given address, so it can be
-// resolved ONCE, at block formation time, into a specialized closure — a
-// thunk — that the steady-state dispatch loop calls directly.
+// compileEnt is the one place where the meaning of every KX64 opcode is
+// written down. It turns a decoded instruction at a known address into a
+// specialized closure — a thunk — with everything invariant for that
+// instruction resolved once: opcode dispatch, operand field loads,
+// effective-address shape, access size, and the successor address. Every
+// executor calls thunks:
+//
+//   - the decode cache (dcache.go) builds each entry's thunk when it decodes
+//     the entry, and Step calls it;
+//   - the uncached path (stepSlow) decodes, builds a thunk for the one
+//     instruction, and calls it;
+//   - superblocks (bcache.go) are arrays of their entries' thunks, except
+//     where compileBlock swaps in a fused form.
 //
 // Three families of specialization happen here:
 //
 //   - Operand capture. A thunk closes over the decoded operands as Go
 //     locals: register indices, sign-extended immediates, the access size,
-//     and — because a block executes at a fixed virtual address — the
+//     and — because an instruction's address is fixed once decoded — the
 //     CONSTANT successor address `next` and any %rip-relative or absolute
-//     effective address, folded to a single uint64 at compile time. Branch
-//     targets (JMP/JCC/CALL rel32) fold the same way.
+//     effective address, folded to a single uint64. Branch targets
+//     (JMP/JCC/CALL rel32) fold the same way.
 //
 //   - Effective-address folding. compileEA flattens every operand shape
 //     (constant, base+disp, index*scale+disp, base+index*scale+disp) into
 //     one branchless three-term expression (eaCap) instead of re-testing
 //     HasBase/HasIndex/RIPRel per execution.
 //
-//   - Flag-dead fusion. compileBlock runs a backward liveness pass over the
+//   - Flag-dead fusion. compileBlock runs a backward liveness pass over a
 //     block: an arithmetic instruction whose CF/OF/SF/ZF/PF results are
-//     provably overwritten before ANY observable point gets the fused
-//     no-flags thunk variant — a bare register update (or, for CMP/TEST, a
-//     pure no-op) with no flagsAdd/flagsSub/setSZP/parity work at all.
+//     provably overwritten before ANY observable point gets its compileDead
+//     variant — a bare register update (or, for CMP/TEST, a pure no-op)
+//     with no flagsAdd/flagsSub/setSZP/parity work at all.
 //
 // Soundness of the fusion rests on a conservative definition of "observable
 // point". The architectural %rflags must be bit-exact whenever anything can
@@ -57,33 +62,33 @@ import (
 // Only an entry followed — with no such point in between — by an
 // instruction that unconditionally overwrites ALL arithmetic flags and
 // cannot trap (dcFW: the reg/imm ALU, shift, NEG, IMUL, CMP, TEST forms)
-// may be fused. Everything the pass is unsure about stays live, and the
-// probe-armed path never executes thunks at all (Run falls back to Step,
-// exactly like today), so per-instruction observers always see interpreter
-// semantics.
+// may be fused. Everything the pass is unsure about stays live. Fused
+// thunks exist only inside blocks, and the probe-armed path never runs
+// blocks (Run falls back to Step), so per-instruction observers always see
+// the flags-live thunks.
 //
 // Thunks capture NO *CPU and no page state — only immutable decoded
-// operands — so compiled blocks are shared freely across COW forks
-// (fork.go) and are invalidated by exactly the machinery that already
-// drops the blocks that own them.
+// operands — so decode-cache entries and formed blocks are shared freely
+// across COW forks (fork.go) and are invalidated by exactly the machinery
+// that already drops the entries and blocks that own them.
+//
+// The oracle for these semantics is the recorded golden corpus
+// (golden_test.go): outcomes captured from the interpreter switch these
+// thunks replaced, replayed under every engine configuration.
 
-// thunk executes one compiled instruction against c. It mirrors exec's trap
-// behaviour bit for bit and sets c.RIP to the successor on completion.
-// Instrs/Cycles accounting is NOT done per thunk: the dispatch loop charges
-// a whole (possibly partial) block run in one shot from the cumulative
-// cycle sums the compiler stores in cthunk.cyc — two fewer memory
-// read-modify-writes on every instruction of the steady state.
+// thunk executes one instruction against c. On completion it sets c.RIP to
+// the successor; on a trap it leaves c.RIP at the instruction. Instrs and
+// the base cycle cost are charged by the caller (Step per instruction, the
+// block loop per run from cthunk.cyc); a thunk adds only dynamic cycles
+// (REP string elements).
 type thunk func(c *CPU) (StopReason, *Trap)
 
-// cthunk is one compiled block entry: the specialized thunk, the cumulative
-// base cycle cost and instruction count of the block through this entry (so
-// the dispatch loop can account a run ending here with one addition each —
-// and so a tail-fused entry, which retires TWO instructions, charges both),
-// and the decode flags the loop needs (dcStore for the self-modification
-// abort check). Kept small so the compiled dispatch loop walks a dense
-// array. A nil fn marks an entry with no specialized form; the dispatch
-// loop interprets it from the block's entry array at the same index —
-// indices align because fusion only ever shortens the tail.
+// cthunk is one block entry: the thunk, the cumulative base cycle cost and
+// instruction count of the block through this entry (so the dispatch loop
+// can account a run ending here with one addition each — and so a
+// tail-fused entry, which retires TWO instructions, charges both), and the
+// decode flags the loop needs (dcStore for the self-modification abort
+// check). Kept small so the dispatch loop walks a dense array.
 type cthunk struct {
 	fn    thunk
 	cyc   uint64
@@ -91,45 +96,38 @@ type cthunk struct {
 	flags uint8
 }
 
-// compileBlock lowers a formed block to compiled thunks. va is the virtual
-// address of the block's first instruction (blocks never outlive a remap of
-// their page, so it is a formation-time constant). It returns the thunk
-// array and the number of entries whose flag computation was elided by the
-// liveness pass.
+// compileBlock lowers the entries of a block starting at virtual address va
+// to its thunk array, and returns the number of entries whose flag
+// computation the liveness pass elided. Entries keep their own
+// (flags-live) thunks except where a fused form replaces them, so only
+// fused entries allocate.
 //
 // The liveness pass walks backwards. dead == true means: the arithmetic
 // flags as they stand RIGHT AFTER the current entry are provably
 // overwritten before any observable point, so the entry need not compute
-// them. See the package comment above for what counts as observable.
-func compileBlock(ents []blkEnt, va uint64) (comp []cthunk, fused uint64) {
-	// Forward pass: per-entry successor addresses and the running sum of
-	// base cycle costs — the dispatch loop charges a whole run from the
-	// last executed entry's cumulative total instead of per instruction.
+// them. See the comment at the top of this file for what counts as
+// observable.
+func compileBlock(ents []*dcEntry, va uint64) (comp []cthunk, fused uint64) {
 	comp = make([]cthunk, len(ents))
-	nexts := make([]uint64, len(ents))
 	var cyc uint64
-	for i := range ents {
-		va += uint64(ents[i].ilen)
-		nexts[i] = va
-		cyc += ents[i].cost
-		comp[i].cyc = cyc
-		comp[i].ni = uint32(i + 1)
+	for i, e := range ents {
+		va += uint64(e.ilen)
+		cyc += e.cost
+		comp[i] = cthunk{fn: e.fn, cyc: cyc, ni: uint32(i + 1), flags: e.flags}
 	}
+	end := va // the block's fallthrough address
+	next := end
 	dead := false // block exit: flags live
 	for i := len(ents) - 1; i >= 0; i-- {
-		e := &ents[i]
-		d := dead
-		if e.flags&dcStore != 0 {
-			// A store can abort the block right after this entry
-			// (self-modification resync): treat the position after it as an
-			// exit, whatever the (possibly stale) rest of the block promised.
-			d = false
-		}
-		fn, elided := compileEnt(&e.in, nexts[i], d)
-		comp[i].fn = fn
-		comp[i].flags = e.flags
-		if elided {
-			fused++
+		e := ents[i]
+		// A store can abort the block right after this entry (self-
+		// modification resync): the position after it is an exit, whatever
+		// the (possibly stale) rest of the block promised.
+		if dead && e.flags&dcStore == 0 {
+			if fn := compileDead(&e.in, next); fn != nil {
+				comp[i].fn = fn
+				fused++
+			}
 		}
 		switch {
 		case e.flags&(dcFR|dcTrap) != 0:
@@ -141,6 +139,7 @@ func compileBlock(ents []blkEnt, va uint64) (comp []cthunk, fused uint64) {
 			// earlier results die here.
 			dead = true
 		}
+		next -= uint64(e.ilen)
 	}
 	// Tail fusion: a trap-free register compare/arith feeding the block's
 	// terminating JCC collapses into one thunk, so the hottest two-entry
@@ -150,7 +149,7 @@ func compileBlock(ents []blkEnt, va uint64) (comp []cthunk, fused uint64) {
 	// fused entry's cumulative cyc/ni are the terminator's, so accounting
 	// charges both instructions.
 	if n := len(ents); n >= 2 && ents[n-1].in.Op == isa.JCC {
-		if fn := compileCmpJcc(&ents[n-2].in, &ents[n-1].in, nexts[n-1]); fn != nil {
+		if fn := compileCmpJcc(&ents[n-2].in, &ents[n-1].in, end); fn != nil {
 			comp[n-2] = cthunk{fn: fn, cyc: comp[n-1].cyc, ni: comp[n-1].ni, flags: ents[n-2].flags}
 			comp = comp[:n-1]
 		}
@@ -281,8 +280,8 @@ func (e eaCap) addr(c *CPU) uint64 {
 }
 
 // compileEA folds a memory operand into an eaCap. next is the instruction's
-// successor address (the anchor of %rip-relative references — a compile-time
-// constant, so RIP-relative and absolute operands fold to a single uint64).
+// successor address (the anchor of %rip-relative references — a constant,
+// so RIP-relative and absolute operands fold to a single uint64).
 func compileEA(m isa.MemRef, next uint64) eaCap {
 	disp := uint64(int64(m.Disp))
 	if m.RIPRel {
@@ -298,24 +297,78 @@ func compileEA(m isa.MemRef, next uint64) eaCap {
 	return e
 }
 
-// compileEnt builds the specialized thunk for one decoded instruction with
-// constant successor address next. dead reports that the instruction's
-// arithmetic-flag results are never observed (see compileBlock); the
-// returned bool reports whether flag computation was actually elided on
-// that basis. Opcodes with no specialized constructor (string, system, MPX
-// spill/fill, trap instructions — all block-rare) return a nil thunk, which
-// the dispatch loop interprets in place through the exec switch — always
-// semantically exact.
-func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
+// trapAt builds a trap of kind k raised by the instruction at c.RIP, with
+// the instruction's own address as the trap address.
+func (c *CPU) trapAt(k TrapKind) *Trap {
+	return &Trap{Kind: k, Addr: c.RIP, RIP: c.RIP, Mode: c.Mode}
+}
+
+// Operand-free thunks are plain functions: building them allocates
+// nothing.
+
+func udThunk(c *CPU) (StopReason, *Trap)   { return StepContinue, c.trapAt(TrapUndefined) }
+func int3Thunk(c *CPU) (StopReason, *Trap) { return StepContinue, c.trapAt(TrapBreakpoint) }
+
+func hltThunk(c *CPU) (StopReason, *Trap) {
+	if c.Mode != Kernel {
+		return StepContinue, c.trapAt(TrapProtection)
+	}
+	return StopHalt, nil
+}
+
+func sysretThunk(c *CPU) (StopReason, *Trap) {
+	if c.Mode != Kernel || !c.inSyscall {
+		return StepContinue, c.trapAt(TrapUndefined)
+	}
+	c.ExitKernel()
+	if c.StopOnSysret {
+		return StopSysret, nil
+	}
+	return StepContinue, nil
+}
+
+func iretThunk(c *CPU) (StopReason, *Trap) {
+	if c.Mode != Kernel {
+		return StepContinue, c.trapAt(TrapProtection)
+	}
+	rip, t := c.pop()
+	if t != nil {
+		return StepContinue, t
+	}
+	rsp, t := c.pop()
+	if t != nil {
+		return StepContinue, t
+	}
+	rflags, t := c.pop()
+	if t != nil {
+		return StepContinue, t
+	}
+	c.RIP, c.RFlags = rip, rflags
+	c.Regs[isa.RSP] = rsp
+	c.Mode = User
+	if c.MPXKernel {
+		c.Bnd[0] = c.savedUserBnd0
+	}
+	if c.StopOnIret {
+		return StopIret, nil
+	}
+	return StepContinue, nil
+}
+
+// compileEnt builds the flags-live thunk for one decoded instruction whose
+// successor address is next. Every opcode has one; an opcode the decoder
+// accepts but this switch does not know raises #UD.
+func compileEnt(in *isa.Instr, next uint64) thunk {
 	d, s := in.Dst, in.Src
 	imm := uint64(in.Imm)
 
 	switch in.Op {
 	case isa.NOP, isa.SWAPGS:
-		return func(c *CPU) (StopReason, *Trap) {
-			c.RIP = next
-			return StepContinue, nil
-		}, false
+		return nopThunk(next)
+	case isa.HLT:
+		return hltThunk
+	case isa.INT3:
+		return int3Thunk
 
 	// --- data movement ---
 	case isa.MOVri:
@@ -323,20 +376,20 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.Regs[d] = imm
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.MOVrr:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.Regs[d] = c.Regs[s]
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.LEA:
 		ea := compileEA(in.M, next)
 		return func(c *CPU) (StopReason, *Trap) {
 			c.Regs[d] = ea.addr(c)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.MOVrm:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -348,7 +401,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.Regs[d] = v
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.MOVmr:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -358,7 +411,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.MOVmi:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -368,7 +421,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 
 	// --- stack ---
 	case isa.PUSH:
@@ -378,7 +431,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.POP:
 		return func(c *CPU) (StopReason, *Trap) {
 			v, t := c.pop()
@@ -388,7 +441,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.Regs[d] = v
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.PUSHFQ:
 		return func(c *CPU) (StopReason, *Trap) {
 			if t := c.push(c.RFlags); t != nil {
@@ -396,7 +449,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.POPFQ:
 		return func(c *CPU) (StopReason, *Trap) {
 			v, t := c.pop()
@@ -406,18 +459,10 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.RFlags = v
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-
-	// --- arithmetic (fused no-flags variants when the result flags are
-	// provably dead; the live variants call the shared flag helpers) ---
-	case isa.ADDri:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] += imm
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
+
+	// --- arithmetic (the live forms; compileDead holds the fused ones) ---
+	case isa.ADDri:
 		return func(c *CPU) (StopReason, *Trap) {
 			a := c.Regs[d]
 			r := a + imm
@@ -425,15 +470,8 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsAdd(a, imm, r)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.ADDrr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] += c.Regs[s]
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
+	case isa.ADDrr:
 		return func(c *CPU) (StopReason, *Trap) {
 			a, b := c.Regs[d], c.Regs[s]
 			r := a + b
@@ -441,7 +479,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsAdd(a, b, r)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.ADDrm:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -456,15 +494,8 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsAdd(a, b, r)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.SUBri:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] -= imm
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
+	case isa.SUBri:
 		return func(c *CPU) (StopReason, *Trap) {
 			a := c.Regs[d]
 			r := a - imm
@@ -472,15 +503,8 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsSub(a, imm, r)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.SUBrr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] -= c.Regs[s]
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
+	case isa.SUBrr:
 		return func(c *CPU) (StopReason, *Trap) {
 			a, b := c.Regs[d], c.Regs[s]
 			r := a - b
@@ -488,7 +512,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsSub(a, b, r)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.SUBrm:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -503,23 +527,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsSub(a, b, r)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.ANDri, isa.ORri, isa.XORri:
 		op := in.Op
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				switch op {
-				case isa.ANDri:
-					c.Regs[d] &= imm
-				case isa.ORri:
-					c.Regs[d] |= imm
-				default:
-					c.Regs[d] ^= imm
-				}
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			switch op {
 			case isa.ANDri:
@@ -532,23 +542,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsLogic(c.Regs[d])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.ANDrr, isa.ORrr, isa.XORrr:
 		op := in.Op
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				switch op {
-				case isa.ANDrr:
-					c.Regs[d] &= c.Regs[s]
-				case isa.ORrr:
-					c.Regs[d] |= c.Regs[s]
-				default:
-					c.Regs[d] ^= c.Regs[s]
-				}
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			switch op {
 			case isa.ANDrr:
@@ -561,7 +557,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsLogic(c.Regs[d])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.XORrm:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -574,8 +570,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsLogic(c.Regs[d])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.XORmr:
+		// read-modify-write: xor %reg into memory.
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
 		return func(c *CPU) (StopReason, *Trap) {
@@ -591,16 +588,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsLogic(r)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.SHLri:
 		sh := uint(imm) & 63
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] <<= sh
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			v := c.Regs[d]
 			c.RFlags &^= isa.FlagCF | isa.FlagOF
@@ -611,16 +601,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.setSZP(c.Regs[d])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.SHRri:
 		sh := uint(imm) & 63
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] >>= sh
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			v := c.Regs[d]
 			c.RFlags &^= isa.FlagCF | isa.FlagOF
@@ -631,16 +614,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.setSZP(c.Regs[d])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.SARri:
 		sh := uint(imm) & 63
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] = uint64(int64(c.Regs[d]) >> sh)
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
 		return func(c *CPU) (StopReason, *Trap) {
 			v := int64(c.Regs[d])
 			c.RFlags &^= isa.FlagCF | isa.FlagOF
@@ -651,38 +627,29 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.setSZP(c.Regs[d])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.NOTr:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.Regs[d] = ^c.Regs[d]
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.NEGr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] = -c.Regs[d]
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
+	case isa.NEGr:
 		return func(c *CPU) (StopReason, *Trap) {
 			v := c.Regs[d]
 			c.Regs[d] = -v
 			c.flagsSub(0, v, c.Regs[d])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.IMULrr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] *= c.Regs[s]
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
+	case isa.IMULrr, isa.IMULri:
+		useImm := in.Op == isa.IMULri
 		return func(c *CPU) (StopReason, *Trap) {
-			hi, lo := bits.Mul64(c.Regs[d], c.Regs[s])
+			b := imm
+			if !useImm {
+				b = c.Regs[s]
+			}
+			hi, lo := bits.Mul64(c.Regs[d], b)
 			c.Regs[d] = lo
 			c.RFlags &^= isa.FlagCF | isa.FlagOF
 			if hi != 0 && hi != ^uint64(0) {
@@ -691,34 +658,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.setSZP(lo)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.IMULri:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d] *= imm
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
-		return func(c *CPU) (StopReason, *Trap) {
-			hi, lo := bits.Mul64(c.Regs[d], imm)
-			c.Regs[d] = lo
-			c.RFlags &^= isa.FlagCF | isa.FlagOF
-			if hi != 0 && hi != ^uint64(0) {
-				c.RFlags |= isa.FlagCF | isa.FlagOF
-			}
-			c.setSZP(lo)
-			c.RIP = next
-			return StepContinue, nil
-		}, false
 	case isa.INCr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d]++
-				c.RIP = next
-				return StepContinue, nil
-			}, true
-		}
+		// inc preserves CF (genuine x86 quirk).
 		return func(c *CPU) (StopReason, *Trap) {
 			cf := c.RFlags & isa.FlagCF
 			a := c.Regs[d]
@@ -728,15 +670,8 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.RFlags = (c.RFlags &^ isa.FlagCF) | cf
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.DECr:
-		if dead {
-			return func(c *CPU) (StopReason, *Trap) {
-				c.Regs[d]--
-				c.RIP = next
-				return StepContinue, nil
-			}, true
 		}
+	case isa.DECr:
 		return func(c *CPU) (StopReason, *Trap) {
 			cf := c.RFlags & isa.FlagCF
 			a := c.Regs[d]
@@ -746,29 +681,23 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.RFlags = (c.RFlags &^ isa.FlagCF) | cf
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-
-	// --- comparison (a dead compare has no architectural effect at all) ---
-	case isa.CMPri:
-		if dead {
-			return nopThunk(next), true
 		}
+
+	// --- comparison ---
+	case isa.CMPri:
 		return func(c *CPU) (StopReason, *Trap) {
 			a := c.Regs[d]
 			c.flagsSub(a, imm, a-imm)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.CMPrr:
-		if dead {
-			return nopThunk(next), true
 		}
+	case isa.CMPrr:
 		return func(c *CPU) (StopReason, *Trap) {
 			a, b := c.Regs[d], c.Regs[s]
 			c.flagsSub(a, b, a-b)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.CMPrm:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -781,7 +710,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsSub(a, v, a-v)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.CMPmi:
 		ea := compileEA(in.M, next)
 		sz := in.AccessSize()
@@ -793,25 +722,19 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.flagsSub(v, imm, v-imm)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.TESTrr:
-		if dead {
-			return nopThunk(next), true
 		}
+	case isa.TESTrr:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.flagsLogic(c.Regs[d] & c.Regs[s])
 			c.RIP = next
 			return StepContinue, nil
-		}, false
-	case isa.TESTri:
-		if dead {
-			return nopThunk(next), true
 		}
+	case isa.TESTri:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.flagsLogic(c.Regs[d] & imm)
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 
 	// --- control transfer (targets fold to constants) ---
 	case isa.JMP:
@@ -819,12 +742,12 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 		return func(c *CPU) (StopReason, *Trap) {
 			c.RIP = target
 			return StepContinue, nil
-		}, false
+		}
 	case isa.JMPR:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.RIP = c.Regs[d]
 			return StepContinue, nil
-		}, false
+		}
 	case isa.JMPM:
 		ea := compileEA(in.M, next)
 		return func(c *CPU) (StopReason, *Trap) {
@@ -834,7 +757,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = v
 			return StepContinue, nil
-		}, false
+		}
 	case isa.JCC:
 		cc := in.CC
 		target := next + imm
@@ -845,7 +768,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 				c.RIP = next
 			}
 			return StepContinue, nil
-		}, false
+		}
 	case isa.CALL:
 		target := next + imm
 		return func(c *CPU) (StopReason, *Trap) {
@@ -854,7 +777,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = target
 			return StepContinue, nil
-		}, false
+		}
 	case isa.CALLR:
 		return func(c *CPU) (StopReason, *Trap) {
 			if t := c.push(next); t != nil {
@@ -862,7 +785,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = c.Regs[d]
 			return StepContinue, nil
-		}, false
+		}
 	case isa.CALLM:
 		ea := compileEA(in.M, next)
 		return func(c *CPU) (StopReason, *Trap) {
@@ -875,20 +798,9 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = v
 			return StepContinue, nil
-		}, false
-	case isa.RET:
-		return func(c *CPU) (StopReason, *Trap) {
-			v, t := c.pop()
-			if t != nil {
-				return StepContinue, t
-			}
-			if v == StopMagic {
-				return StopReturn, nil
-			}
-			c.RIP = v
-			return StepContinue, nil
-		}, false
-	case isa.RETI:
+		}
+	case isa.RET, isa.RETI:
+		// RETI releases imm bytes of arguments after popping; RET has imm 0.
 		return func(c *CPU) (StopReason, *Trap) {
 			v, t := c.pop()
 			if t != nil {
@@ -900,23 +812,69 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = v
 			return StepContinue, nil
-		}, false
+		}
 
-	// --- flags housekeeping ---
+	// --- string operations ---
+	case isa.MOVS, isa.STOS, isa.LODS, isa.CMPS, isa.SCAS:
+		op, sf := in.Op, in.SF
+		return func(c *CPU) (StopReason, *Trap) {
+			if t := c.execString(op, sf); t != nil {
+				return StepContinue, t
+			}
+			c.RIP = next
+			return StepContinue, nil
+		}
 	case isa.CLD:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.RFlags &^= isa.FlagDF
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.STD:
 		return func(c *CPU) (StopReason, *Trap) {
 			c.RFlags |= isa.FlagDF
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 
-	// --- MPX checks (the hot half of kR^X-MPX; spill/fill stay generic) ---
+	// --- system ---
+	case isa.SYSCALL:
+		return func(c *CPU) (StopReason, *Trap) {
+			if c.Mode != User {
+				return StepContinue, c.trapAt(TrapUndefined)
+			}
+			if c.SyscallEntry == 0 {
+				return StepContinue, c.trapAt(TrapProtection)
+			}
+			c.EnterKernel(next)
+			return StepContinue, nil
+		}
+	case isa.SYSRET:
+		return sysretThunk
+	case isa.IRET:
+		return iretThunk
+	case isa.WRMSR:
+		return func(c *CPU) (StopReason, *Trap) {
+			if c.Mode != Kernel {
+				return StepContinue, c.trapAt(TrapProtection)
+			}
+			c.MSRs[c.Regs[isa.RCX]] = c.Regs[isa.RDX]<<32 | c.Regs[isa.RAX]&0xFFFFFFFF
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.RDMSR:
+		return func(c *CPU) (StopReason, *Trap) {
+			if c.Mode != Kernel {
+				return StepContinue, c.trapAt(TrapProtection)
+			}
+			v := c.MSRs[c.Regs[isa.RCX]]
+			c.Regs[isa.RAX] = v & 0xFFFFFFFF
+			c.Regs[isa.RDX] = v >> 32
+			c.RIP = next
+			return StepContinue, nil
+		}
+
+	// --- MPX ---
 	case isa.BNDCU:
 		ea := compileEA(in.M, next)
 		bnd := in.Bnd
@@ -927,7 +885,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.BNDCL:
 		ea := compileEA(in.M, next)
 		bnd := in.Bnd
@@ -938,7 +896,7 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			}
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
 	case isa.BNDMK:
 		ea := compileEA(in.M, next)
 		bnd := in.Bnd
@@ -946,20 +904,162 @@ func compileEnt(in *isa.Instr, next uint64, dead bool) (thunk, bool) {
 			c.Bnd[bnd] = Bound{LB: 0, UB: ea.addr(c)}
 			c.RIP = next
 			return StepContinue, nil
-		}, false
+		}
+	case isa.BNDSTX:
+		ea := compileEA(in.M, next)
+		bnd := in.Bnd
+		return func(c *CPU) (StopReason, *Trap) {
+			a := ea.addr(c)
+			if t := c.store(a, c.Bnd[bnd].LB, 8); t != nil {
+				return StepContinue, t
+			}
+			if t := c.store(a+8, c.Bnd[bnd].UB, 8); t != nil {
+				return StepContinue, t
+			}
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.BNDLDX:
+		ea := compileEA(in.M, next)
+		bnd := in.Bnd
+		return func(c *CPU) (StopReason, *Trap) {
+			a := ea.addr(c)
+			lb, t := c.load(a, 8)
+			if t != nil {
+				return StepContinue, t
+			}
+			ub, t := c.load(a+8, 8)
+			if t != nil {
+				return StepContinue, t
+			}
+			c.Bnd[bnd] = Bound{LB: lb, UB: ub}
+			c.RIP = next
+			return StepContinue, nil
+		}
 	}
-
-	// Generic fallback: string operations, mode switches, MSR access, trap
-	// instructions, MPX spill/fill — all either block terminators or rare.
-	// A nil thunk tells the compiled dispatch loop (runBlockCompiled) to
-	// interpret the entry in place through the exec switch — the identical
-	// instruction-step the interpreted loop performs, with no closure
-	// allocated and no extra indirect call layered on top.
-	return nil, false
+	return udThunk // UD2, and any opcode without semantics
 }
 
-// nopThunk is the fused form of a dead CMP/TEST: fall-through only — the
-// instruction's sole architectural effect was flags that nothing can
+// compileDead builds the fused no-flags thunk for an instruction whose
+// arithmetic-flag results are never observed (see compileBlock), or
+// returns nil when the opcode has no such form.
+func compileDead(in *isa.Instr, next uint64) thunk {
+	d, s := in.Dst, in.Src
+	imm := uint64(in.Imm)
+
+	switch in.Op {
+	case isa.ADDri:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] += imm
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.ADDrr:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] += c.Regs[s]
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.SUBri:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] -= imm
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.SUBrr:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] -= c.Regs[s]
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.ANDri, isa.ORri, isa.XORri:
+		op := in.Op
+		return func(c *CPU) (StopReason, *Trap) {
+			switch op {
+			case isa.ANDri:
+				c.Regs[d] &= imm
+			case isa.ORri:
+				c.Regs[d] |= imm
+			default:
+				c.Regs[d] ^= imm
+			}
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.ANDrr, isa.ORrr, isa.XORrr:
+		op := in.Op
+		return func(c *CPU) (StopReason, *Trap) {
+			switch op {
+			case isa.ANDrr:
+				c.Regs[d] &= c.Regs[s]
+			case isa.ORrr:
+				c.Regs[d] |= c.Regs[s]
+			default:
+				c.Regs[d] ^= c.Regs[s]
+			}
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.SHLri:
+		sh := uint(imm) & 63
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] <<= sh
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.SHRri:
+		sh := uint(imm) & 63
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] >>= sh
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.SARri:
+		sh := uint(imm) & 63
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] = uint64(int64(c.Regs[d]) >> sh)
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.NEGr:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] = -c.Regs[d]
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.IMULrr:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] *= c.Regs[s]
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.IMULri:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d] *= imm
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.INCr:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d]++
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.DECr:
+		return func(c *CPU) (StopReason, *Trap) {
+			c.Regs[d]--
+			c.RIP = next
+			return StepContinue, nil
+		}
+	case isa.CMPri, isa.CMPrr, isa.TESTrr, isa.TESTri:
+		// A dead compare has no architectural effect at all.
+		return nopThunk(next)
+	}
+	return nil
+}
+
+// nopThunk falls through to next: NOP and SWAPGS, and the fused form of a
+// dead CMP/TEST, whose sole architectural effect was flags nothing can
 // observe.
 func nopThunk(next uint64) thunk {
 	return func(c *CPU) (StopReason, *Trap) {

@@ -112,11 +112,16 @@ func (r *Registry) Format() string {
 	return sb.String()
 }
 
-// RegisterDecodeCache publishes a CPU's decode-cache statistics under
-// prefix (e.g. "decode_cache").
-func RegisterDecodeCache(r *Registry, prefix string, c *cpu.CPU) {
+// RegisterDecodeCache publishes decode-cache statistics under prefix (e.g.
+// "decode_cache"), each gauge summed over the given CPUs (one per worker).
+func RegisterDecodeCache(r *Registry, prefix string, cs ...*cpu.CPU) {
 	stat := func(pick func(cpu.DecodeCacheStats) uint64) func() uint64 {
-		return func() uint64 { return pick(c.DecodeCacheStats()) }
+		return func() (n uint64) {
+			for _, c := range cs {
+				n += pick(c.DecodeCacheStats())
+			}
+			return n
+		}
 	}
 	r.Gauge(prefix+".hits", stat(func(s cpu.DecodeCacheStats) uint64 { return s.Hits }))
 	r.Gauge(prefix+".misses", stat(func(s cpu.DecodeCacheStats) uint64 { return s.Misses }))
@@ -127,11 +132,16 @@ func RegisterDecodeCache(r *Registry, prefix string, c *cpu.CPU) {
 	r.Gauge(prefix+".entries", stat(func(s cpu.DecodeCacheStats) uint64 { return s.Entries }))
 }
 
-// RegisterBlockEngine publishes a CPU's superblock-engine statistics under
-// prefix (e.g. "block_engine").
-func RegisterBlockEngine(r *Registry, prefix string, c *cpu.CPU) {
+// RegisterBlockEngine publishes superblock-engine statistics under prefix
+// (e.g. "block_engine"), each gauge summed over the given CPUs.
+func RegisterBlockEngine(r *Registry, prefix string, cs ...*cpu.CPU) {
 	stat := func(pick func(cpu.BlockStats) uint64) func() uint64 {
-		return func() uint64 { return pick(c.BlockStats()) }
+		return func() (n uint64) {
+			for _, c := range cs {
+				n += pick(c.BlockStats())
+			}
+			return n
+		}
 	}
 	r.Gauge(prefix+".blocks", stat(func(s cpu.BlockStats) uint64 { return s.Blocks }))
 	r.Gauge(prefix+".formed", stat(func(s cpu.BlockStats) uint64 { return s.Formed }))
@@ -145,11 +155,19 @@ func RegisterBlockEngine(r *Registry, prefix string, c *cpu.CPU) {
 	r.Gauge(prefix+".cold", stat(func(s cpu.BlockStats) uint64 { return s.Cold }))
 }
 
-// RegisterDataTLB publishes an address space's data-TLB counters under
-// prefix (e.g. "dtlb").
-func RegisterDataTLB(r *Registry, prefix string, as *mem.AddressSpace) {
-	r.Gauge(prefix+".hits", func() uint64 { return as.DataTLBStats().Hits })
-	r.Gauge(prefix+".misses", func() uint64 { return as.DataTLBStats().Misses })
+// RegisterDataTLB publishes data-TLB counters under prefix (e.g. "dtlb"),
+// summed over the given address spaces.
+func RegisterDataTLB(r *Registry, prefix string, spaces ...*mem.AddressSpace) {
+	stat := func(pick func(mem.DataTLBStats) uint64) func() uint64 {
+		return func() (n uint64) {
+			for _, as := range spaces {
+				n += pick(as.DataTLBStats())
+			}
+			return n
+		}
+	}
+	r.Gauge(prefix+".hits", stat(func(s mem.DataTLBStats) uint64 { return s.Hits }))
+	r.Gauge(prefix+".misses", stat(func(s mem.DataTLBStats) uint64 { return s.Misses }))
 }
 
 // RegisterStore publishes an artifact store's (or build cache's) counters
