@@ -18,9 +18,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -60,15 +58,13 @@ func run() error {
 	forkMode := flag.Bool("fork", false, "stand workers up as copy-on-write forks of one golden kernel instead of booting each (report is byte-identical either way)")
 	jsonOut := flag.Bool("json", false, "emit the report as machine-readable JSON (schema_version marks the format)")
 	traceOut := flag.String("trace", "", "record the campaign event stream (byte-identical for any -workers count); write Chrome trace-event JSON to this file")
-	stats := flag.Bool("stats", false, "print the observability metric registry after the campaign (decode_cache.*, block_engine.* and dtlb.* sum over all workers; cpu.* reads worker 0 and is rewound by every iteration's snapshot restore)")
-	blocks := flag.Bool("blocks", true, "dispatch through the superblock engine (bit-identical either way; -blocks=false forces per-instruction stepping)")
-	hot := flag.Int("hot", 0, "block-formation hotness threshold: form a superblock after this many dispatches of an entry point (0 = engine default)")
+	stats := flag.Bool("stats", false, "print the observability metric registry after the campaign (cpu.*, decode_cache.*, block_engine.* and dtlb.* sum over all workers; cpu.* counts every iteration and minimization replay; -serve prints the service registry instead)")
 	serve := flag.Bool("serve", false, "run through the fault-tolerant fuzzd manager/worker service instead of the in-process scheduler")
 	leaseTimeout := flag.Duration("lease-timeout", time.Second, "serve: lease deadline; a lease unrenewed for this long is reclaimed and reassigned")
 	leaseIters := flag.Int("lease-iters", 16, "serve: iterations per lease grant")
 	retries := flag.Int("retries", 3, "serve: regrants of a lost lease before its range is quarantined to the manager")
 	chaosSpec := flag.String("chaos", "", "serve: worker fault schedule (kill-one, expire-third, stall-recover, seeded:<seed>); the report must not change")
-	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: kernel images (and block heat profiles) are reused across invocations; a warm run performs zero link builds")
+	cacheDir := flag.String("cache-dir", "", "persistent artifact store directory: kernel images are reused across invocations; a warm run performs zero link builds")
 	cacheQuota := flag.String("cache-quota", "1G", "artifact store byte quota, LRU-evicted (accepts K/M/G suffixes; 0 = unlimited)")
 	corpusDir := flag.String("corpus-dir", "", "campaign checkpoint store directory: the corpus, coverage, and crash ledger persist at batch boundaries and the campaign resumes from its last checkpoint (incompatible with -trace)")
 	cpuProf := flag.String("cpuprofile", "", "write a host pprof CPU profile of the campaign to this file")
@@ -134,8 +130,6 @@ func run() error {
 			leaseIters:   *leaseIters,
 			retries:      *retries,
 			chaosSpec:    *chaosSpec,
-			blocks:       *blocks,
-			hot:          *hot,
 			jsonOut:      *jsonOut,
 			traceOut:     *traceOut,
 			stats:        *stats,
@@ -146,38 +140,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ks, err := f.Kernels()
-	if err != nil {
-		return err
-	}
-	// The heat-profile key: one profile per (corpus, build) pair, like the
-	// image itself.
-	heatKey := store.Key{ProgID: "kernel-corpus", BuildKey: cfg.BuildKey()}
-	var seedRips []uint64
-	if artifacts != nil && *blocks {
-		if data, gerr := artifacts.Get(store.KindHeat, heatKey); gerr == nil {
-			seedRips, _ = decodeHeat(data)
-		}
-	}
-	for _, k := range ks {
-		k.CPU.SetBlockEngine(*blocks)
-		k.CPU.SetBlockHotThreshold(*hot)
-		k.CPU.SeedHotProfile(seedRips)
-	}
 	rep, err := f.RunContext(ctx)
 	if err != nil {
 		return err
-	}
-	if artifacts != nil && *blocks {
-		// Persist the superblocks this campaign formed so the next warm run
-		// skips their hotness ramp (bit-identical either way).
-		if k, kerr := f.Kernel(); kerr == nil {
-			if rips := k.CPU.HotProfile(); len(rips) > 0 {
-				if data, eerr := encodeHeat(rips); eerr == nil {
-					_ = artifacts.Put(store.KindHeat, heatKey, data)
-				}
-			}
-		}
 	}
 	if err := emitReport(rep, *jsonOut); err != nil {
 		return err
@@ -193,24 +158,32 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "krxfuzz: wrote %d trace events to %s\n", len(rep.Trace), *traceOut)
 	}
 	if *stats {
-		fmt.Print(statsRegistry(ks, opts.Fork).Format())
+		reg, err := statsRegistry(f, opts.Fork)
+		if err != nil {
+			return err
+		}
+		fmt.Print(reg.Format())
 	}
 	return nil
 }
 
-// statsRegistry builds the -stats registry over the campaign's worker
-// kernels (worker order). The decode-cache, block-engine and data-TLB
-// gauges sum over every worker. cpu.* reads worker 0 only: its counters are
-// rewound by every iteration's snapshot restore, so they describe the last
-// restore point, not the campaign.
-func statsRegistry(ks []*kernel.Kernel, fork bool) *obs.Registry {
+// statsRegistry builds the -stats registry over the campaign's workers
+// (worker order). Every engine gauge sums over all workers. cpu.* is the
+// work the executors retired (fuzz.Fuzzer.Retired): CPU.Instrs/Cycles
+// themselves are rewound by every iteration's snapshot restore.
+func statsRegistry(f *fuzz.Fuzzer, fork bool) (*obs.Registry, error) {
+	ks, err := f.Kernels()
+	if err != nil {
+		return nil, err
+	}
 	cpus := make([]*cpu.CPU, len(ks))
 	spaces := make([]*mem.AddressSpace, len(ks))
 	for i, k := range ks {
 		cpus[i], spaces[i] = k.CPU, k.CPU.AS
 	}
 	reg := obs.NewRegistry()
-	obs.RegisterCPU(reg, "cpu", ks[0].CPU)
+	reg.Gauge("cpu.instrs", func() uint64 { n, _ := f.Retired(); return n })
+	reg.Gauge("cpu.cycles", func() uint64 { _, n := f.Retired(); return n })
 	obs.RegisterDecodeCache(reg, "decode_cache", cpus...)
 	obs.RegisterBlockEngine(reg, "block_engine", cpus...)
 	obs.RegisterDataTLB(reg, "dtlb", spaces...)
@@ -220,7 +193,7 @@ func statsRegistry(ks []*kernel.Kernel, fork bool) *obs.Registry {
 		// from; its space carries the frame-sharing counters.
 		obs.RegisterFork(reg, "fork", kernel.Forks, func() *mem.AddressSpace { return ks[0].CPU.AS })
 	}
-	return reg
+	return reg, nil
 }
 
 type serveFlags struct {
@@ -228,8 +201,6 @@ type serveFlags struct {
 	leaseIters   int
 	retries      int
 	chaosSpec    string
-	blocks       bool
-	hot          int
 	jsonOut      bool
 	traceOut     string
 	stats        bool
@@ -247,10 +218,6 @@ func runServe(ctx context.Context, opts fuzz.Options, sf serveFlags) error {
 		LeaseTimeout: sf.leaseTimeout,
 		MaxRetries:   sf.retries,
 		Chaos:        fn,
-		Tune: func(k *kernel.Kernel) {
-			k.CPU.SetBlockEngine(sf.blocks)
-			k.CPU.SetBlockHotThreshold(sf.hot)
-		},
 	})
 	if err != nil {
 		return err
@@ -284,24 +251,6 @@ func runServe(ctx context.Context, opts fuzz.Options, sf serveFlags) error {
 		fmt.Print(m.Registry().Format())
 	}
 	return nil
-}
-
-// encodeHeat/decodeHeat serialize a heat profile (sorted block entry RIPs)
-// for the artifact store.
-func encodeHeat(rips []uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rips); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeHeat(data []byte) ([]uint64, error) {
-	var rips []uint64
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rips); err != nil {
-		return nil, err
-	}
-	return rips, nil
 }
 
 func emitReport(rep *fuzz.Report, jsonOut bool) error {

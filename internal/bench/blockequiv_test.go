@@ -54,8 +54,8 @@ func TestTable1SuiteBlockEquivalence(t *testing.T) {
 				t.Fatalf("%s/%s: %v", cfg.Name(), m.name, err)
 			}
 			bs := k.CPU.BlockStats()
-			if m.blocksOn && bs.Dispatches == 0 {
-				t.Fatalf("%s/%s: block engine never dispatched", cfg.Name(), m.name)
+			if m.blocksOn && (bs.Dispatches == 0 || bs.StepProbe != 0) {
+				t.Fatalf("%s/%s: block engine never dispatched or saw a probe: %+v", cfg.Name(), m.name, bs)
 			} else if !m.blocksOn && bs.Dispatches != 0 {
 				t.Fatalf("%s/%s: disabled engine dispatched: %+v", cfg.Name(), m.name, bs)
 			}
@@ -125,10 +125,11 @@ func TestAttackScenariosBlockEquivalence(t *testing.T) {
 // TestFuzzReportBlockInvariance: campaign reports must be byte-identical
 // across engine modes (blocks, off) AND across -workers 1 and 4 — the
 // worker-count invariance the deterministic scheduler guarantees must
-// survive block dispatch.
+// survive block dispatch. The campaign runs without the coverage probe,
+// which would otherwise keep every instruction off the block engine.
 func TestFuzzReportBlockInvariance(t *testing.T) {
 	run := func(workers int, m blockMode) string {
-		f, err := fuzz.New(fuzz.Options{Iters: 96, Seed: 17, Config: core.Vanilla, Workers: workers})
+		f, err := fuzz.New(fuzz.Options{Iters: 96, Seed: 17, Config: core.Vanilla, Workers: workers, NoCoverage: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,6 +143,13 @@ func TestFuzzReportBlockInvariance(t *testing.T) {
 		rep, err := f.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		var dispatches uint64
+		for _, k := range ks {
+			dispatches += k.CPU.BlockStats().Dispatches
+		}
+		if m.blocksOn && dispatches == 0 {
+			t.Fatalf("workers=%d mode=%s: campaign never dispatched a block", workers, m.name)
 		}
 		return rep.String()
 	}

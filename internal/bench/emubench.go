@@ -100,12 +100,11 @@ func (r *EmuReport) JSON() ([]byte, error) {
 // emuWorkload builds a closure that executes one unit of emulated work and
 // returns its cycle cost. make is called once per mode per repetition, so
 // each measurement gets a fresh kernel and an identical iteration sequence.
-// warm is how many untimed ops precede the timed window (0 = 1): one op
-// populates the decode cache, but workloads whose op is much smaller than
-// the Table 1 suite (a single fuzz iteration) need several to reach the
-// block engine's steady state — the hotness gate defers formation until an
-// entry point has been dispatched BlockHotThreshold times, and a campaign's
-// per-iteration cost is the steady-state number, not the ramp.
+// warm is how many untimed ops precede the timed window (0 = 1): the first
+// op decodes and forms blocks over the code it reaches, and later ops reach
+// code the first did not, so workloads whose op is much smaller than the
+// Table 1 suite (a single fuzz iteration) need several to reach steady
+// state — a campaign's per-iteration cost is the steady-state number.
 // mult scales the timed iteration count (0 = 1), for the same reason from
 // the other side: a fuzz iteration is tens of microseconds, so the default
 // iteration count would time a sub-millisecond window — below the host's
@@ -144,10 +143,8 @@ func RunTable1Suite(k *kernel.Kernel) (uint64, error) {
 func table1Workload(cfg core.Config) emuWorkload {
 	return emuWorkload{
 		name: "table1-suite/" + cfg.Name(),
-		// Three warmup passes, not one: block formation waits out the
-		// hotness gate (BlockHotThreshold dispatches per entry point), so a
-		// single pass would leave formation work inside the timed window —
-		// ramp cost, not the steady state every mode is supposed to report.
+		// Three warmup passes keep first-pass decode and formation work
+		// out of the timed window, which reports the steady state.
 		warm: 3,
 		make: func(cacheOn, blocksOn bool) (func() (uint64, error), error) {
 			k, err := kernel.Boot(cfg, kernel.WithCache())
@@ -165,10 +162,10 @@ func fuzzWorkload(cfg core.Config, seed int64) emuWorkload {
 	return emuWorkload{
 		name: "fuzz-iteration/" + cfg.Name(),
 		// A fuzz iteration is a few orders of magnitude smaller than the
-		// Table 1 suite, so one warmup op leaves the hotness gate mid-ramp
-		// (formation cost inside the timed window, payoff outside it);
-		// enough warmup iterations put the timed window in steady state —
-		// the regime a real campaign (thousands of iterations) runs in.
+		// Table 1 suite, and each one reaches code its predecessors did not
+		// (see emuWorkload.warm); enough warmup iterations put the timed
+		// window in steady state — the regime a real campaign (thousands of
+		// iterations) runs in.
 		// The multiplier keeps the timed window in the milliseconds for the
 		// same reason (see emuWorkload.mult).
 		warm: 8,
@@ -330,9 +327,7 @@ func measureFork(cfg core.Config, seed int64, iters int) (ForkResult, error) {
 	// touches its own set of pages, so a short warmup would leave
 	// first-touch CoW breaks inside the timed window — a one-time ramp cost
 	// a real campaign amortizes over thousands of iterations, not the
-	// steady state this row reports. (A full-window warmup also covers the
-	// fuzzWorkload rationale: the block engine's hotness gate is past its
-	// ramp by the time timing starts.)
+	// steady state this row reports.
 	iters *= 10
 	var host [2]time.Duration
 	var cycles [2]uint64
@@ -459,8 +454,8 @@ func BlockEngineReport(k *kernel.Kernel) string {
 	}
 	s := k.CPU.BlockStats()
 	return fmt.Sprintf(
-		"block-engine: blocks=%d formed=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d chained=%d severed=%d cold=%d",
-		s.Blocks, s.Formed, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.Chained, s.Severed, s.Cold)
+		"block-engine: blocks=%d formed=%d compiled=%d fused=%d dispatches=%d instrs=%d aborts=%d chained=%d severed=%d",
+		s.Blocks, s.Formed, s.Compiled, s.Fused, s.Dispatches, s.Instrs, s.Aborts, s.Chained, s.Severed)
 }
 
 // DataTLBReport formats the kernel address space's data-TLB counters.

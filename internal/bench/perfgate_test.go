@@ -100,8 +100,8 @@ func TestProbesDisabledStepPerfGate(t *testing.T) {
 }
 
 // TestBlockEnginePerfGate gates the superblock engine against its own
-// fallback on EVERY workload: block dispatch (with hotness-gated formation
-// and chaining) must be at least as fast as the decode-cache-only path
+// fallback on EVERY workload: block dispatch (with formation on first
+// dispatch and chaining) must be at least as fast as the decode-cache-only path
 // (block_speedup >= 1.0, within the KRX_PERF_GATE_PCT band). The fuzz rows
 // run probe-free (fuzz.Options.NoCoverage), so block dispatch is genuinely
 // armed there — the fuzz-iteration/Vanilla row is exactly the regression

@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"sort"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -26,30 +24,20 @@ import (
 // page-tail boundary (offsets the decode cache leaves undecided), so every
 // entry in a block is a fully decoded instruction of this frame's bytes.
 //
-// Two layers keep the dispatch cost amortized:
+// A block forms the first time its entry offset is dispatched. Formation is
+// cheap enough not to defer: it copies the entries' thunks (built at
+// decode, dcache.go) and runs the flag-liveness pass.
 //
-//   - Hotness-gated formation. Forming a block is not free: it decodes
-//     forward and lowers the entries to a thunk array (compileBlock, with
-//     its flag-liveness pass). On short, snapshot/restore-heavy runs (a
-//     fuzz iteration is a few hundred instructions), eager formation at
-//     every executed RIP costs more than it saves. A per-offset
-//     heat counter on the page defers formation until an entry point has
-//     been dispatched BlockHotThreshold times (SetBlockHotThreshold; default
-//     DefaultBlockHotThreshold); cold offsets keep single-stepping through
-//     the decode cache. Heat survives page flushes and engine toggles — it
-//     measures the workload, not the cached bytes — so hot code re-forms
-//     immediately after an invalidation.
-//
-//   - Block chaining. Each block carries two successor links (taken /
-//     fallthrough), resolved lazily the first time the block exits to that
-//     successor. While a link validates, runChain executes block-to-block
-//     in a single loop without returning to Run's dispatcher — no TLB
-//     probe, no map lookup, no blkIdx load on the hot edge. Validation is
-//     exactly what blockLookup would do (see chainNext): same frame
-//     identity, same content generation, same map generation, and the
-//     link's own resolution generation; any mismatch severs the link and
-//     falls back to the full lookup, which revalidates (flushing and
-//     re-forming as needed) before anything executes.
+// Block chaining keeps the dispatch cost amortized across blocks. Each block
+// carries two successor links (taken / fallthrough), resolved lazily the
+// first time the block exits to that successor. While a link validates,
+// runChain executes block-to-block in a single loop without returning to
+// Run's dispatcher — no TLB probe, no map lookup, no blkIdx load on the hot
+// edge. Validation is exactly what blockLookup would do (see chainNext):
+// same frame identity, same content generation, same map generation, and
+// the link's own resolution generation; any mismatch severs the link and
+// falls back to the full lookup, which revalidates (flushing and re-forming
+// as needed) before anything executes.
 //
 // Validation is hoisted to block granularity: the page's frame is resolved
 // and its MapGen/Frame.Gen generations are checked ONCE at block entry (by
@@ -87,6 +75,10 @@ import (
 // except Blocks are cumulative: they survive page flushes, SetBlockEngine
 // toggles, and SetDecodeCache toggles (the counters live on the CPU, not on
 // the cache they describe). Blocks is the current live footprint.
+//
+// The Step* counters say why Run single-stepped an instruction while the
+// engine was on: each counts one Run loop iteration that bypassed block
+// dispatch, by the first reason that applied.
 type BlockStats struct {
 	Formed     uint64 // blocks ever formed (cumulative, survives flushes)
 	Dispatches uint64 // block executions entered via the Run fast path or a chain
@@ -94,17 +86,21 @@ type BlockStats struct {
 	Aborts     uint64 // mid-block self-modification resyncs
 	Chained    uint64 // block-to-block transitions that bypassed the dispatcher
 	Severed    uint64 // successor links invalidated by the generation checks
-	Cold       uint64 // block dispatch attempts deferred by the hotness gate
 	Compiled   uint64 // blocks lowered to thunk arrays (cumulative; every block lowers when it forms)
 	Fused      uint64 // block entries whose flag computation the liveness pass elided
 	Blocks     uint64 // blocks currently live (on pages that would still validate)
-}
 
-// DefaultBlockHotThreshold is the default number of times an entry offset
-// must be dispatched before a superblock is formed over it. Small: a hot
-// path crosses it within a handful of executions, but one-shot code (boot
-// straight-lines, cold fuzz-program bytes) never pays formation.
-const DefaultBlockHotThreshold = 4
+	StepProbe   uint64 // an exec probe was installed
+	StepPriv    uint64 // a fetch privilege check failed (user at upper half, or SMEP)
+	StepLimit   uint64 // the remaining Run limit was shorter than the block
+	StepNoBlock uint64 // no block at this offset: #UD, page tail, or not executable
+
+	// Cold always reads 0.
+	//
+	// Deprecated: blocks form on first dispatch; there is no hotness gate
+	// left to defer them.
+	Cold uint64
+}
 
 // Entry flag bits, computed once at decode time (dcache.fill).
 const (
@@ -280,14 +276,11 @@ func (p *dcPage) formBlock(off int, c *CPU) int32 {
 	return bi
 }
 
-// blockLookup resolves rip to a formed superblock, validating the page's
-// generations exactly as the per-instruction lookup does, and applying the
-// hotness gate: an offset with no block yet must accumulate BlockHotThreshold
-// dispatch attempts before formation happens; until then the caller single-
-// steps (through the decode cache — the bytes are still cached, only the
-// block-granular dispatch is deferred). It returns (nil, nil) when no block
-// is available at rip — cold, not executable, a cached #UD, or a page-tail
-// offset — and the caller must fall back to single-step.
+// blockLookup resolves rip to a superblock, validating the page's
+// generations exactly as the per-instruction lookup does and forming the
+// block on first dispatch. It returns (nil, nil) when no block is available
+// at rip — not executable, a cached #UD, or a page-tail offset — and the
+// caller must fall back to single-step.
 func (c *CPU) blockLookup(rip uint64) (*dcPage, *dcBlock) {
 	p := c.dc.resolvePage(c.AS, rip)
 	if p == nil {
@@ -296,9 +289,6 @@ func (c *CPU) blockLookup(rip uint64) (*dcPage, *dcBlock) {
 	off := int(rip & uint64(mem.PageMask))
 	bi := p.blkIdx[off]
 	if bi == 0 {
-		if c.coldGate(p, off, rip) {
-			return nil, nil
-		}
 		bi = p.formBlock(off, c)
 	}
 	if bi < 0 {
@@ -307,67 +297,34 @@ func (c *CPU) blockLookup(rip uint64) (*dcPage, *dcBlock) {
 	return p, &p.blocks[bi-1]
 }
 
-// blockStep is Run's fast-path dispatch when the engine is armed: one page
-// resolution decides between entering the chain executor and single-stepping
-// the instruction at RIP from the already-resolved page. The single lookup
-// matters — the hotness gate makes cold single-stepping the common case on
-// short runs, and routing it through Step would pay the page resolution and
-// the fetch privilege checks (already done by Run's guard) a second time per
-// instruction, which is how the gate could cost more than it saves. The
-// caller guarantees probe-free execution and the block-entry privilege
+// blockStep is Run's fast-path dispatch when the engine is armed: it enters
+// the chain executor at RIP's block, or single-steps when no block starts
+// there or the remaining limit is shorter than the block. The caller
+// guarantees probe-free execution and the block-entry privilege
 // preconditions.
 func (c *CPU) blockStep(limit, done, startInstrs uint64) (StopReason, *Trap) {
 	p := c.dc.resolvePage(c.AS, c.RIP)
 	if p == nil {
 		// Not executable (or unmapped): the slow fetch raises the
 		// authoritative fault.
+		c.bstats.StepNoBlock++
 		return c.stepSlow()
 	}
 	off := int(c.RIP & uint64(mem.PageMask))
 	bi := p.blkIdx[off]
 	if bi == 0 {
-		if c.coldGate(p, off, c.RIP) {
-			return c.stepCached(p, off)
-		}
 		bi = p.formBlock(off, c)
 	}
 	if bi < 0 {
-		return c.stepCached(p, off)
+		c.bstats.StepNoBlock++
+		return c.Step()
 	}
 	b := &p.blocks[bi-1]
 	if limit != 0 && limit-done < b.count {
-		return c.stepCached(p, off)
+		c.bstats.StepLimit++
+		return c.Step()
 	}
 	return c.runChain(p, b, limit, startInstrs)
-}
-
-// stepCached executes one instruction from a resolved, validated cache page
-// — Step's decode-cache hit path minus the redundant page resolution and
-// privilege checks the blockStep caller already performed. Only reached
-// probe-free (Run's fast-path guard), so no exec notification is needed.
-func (c *CPU) stepCached(p *dcPage, off int) (StopReason, *Trap) {
-	dc := c.dc
-	i := p.idx[off]
-	if i != 0 {
-		dc.stats.Hits++
-	} else {
-		dc.stats.Misses++
-		p.fill(off, dc.stats)
-		i = p.idx[off]
-	}
-	switch {
-	case i > 0:
-		e := &p.entries[i-1]
-		c.Instrs++
-		c.Cycles += e.cost
-		return e.fn(c)
-	case i < 0:
-		// Cached deterministic decode failure: same #UD the slow path
-		// would raise, with no Instrs/Cycles side effects.
-		return StepContinue, c.trapAt(TrapUndefined)
-	}
-	// Page-tail straddler the cache cannot own: fetch across the boundary.
-	return c.stepSlow()
 }
 
 // runBlock executes one superblock: a direct call per thunk, no
@@ -432,9 +389,9 @@ func (c *CPU) runBlock(p *dcPage, b *dcBlock) (stop StopReason, trap *Trap, comp
 // else selects the taken link (jumps, calls, returns, mode switches). A
 // cached link is followed only if every generation it pinned still holds
 // (see blkLink); otherwise it is severed and re-resolved through the full
-// hotness-gated blockLookup — so a stale link can never execute stale
-// bytes, and a cold or invalidated successor falls back to single-step
-// exactly as if the chain had never existed.
+// blockLookup — so a stale link can never execute stale bytes, and an
+// invalidated successor is re-formed exactly as if the chain had never
+// existed.
 func (c *CPU) chainNext(b *dcBlock, entry uint64) (*dcPage, *dcBlock) {
 	l := &b.taken
 	if c.RIP == entry+b.blen {
@@ -463,7 +420,7 @@ func (c *CPU) chainNext(b *dcBlock, entry uint64) (*dcPage, *dcBlock) {
 
 // runChain executes a chain of superblocks starting at b, following
 // successor links until a block stops, traps, aborts, fails a fetch
-// privilege precondition, exits to a cold or unformable successor, or
+// privilege precondition, exits to an unformable successor, or
 // would overrun the remaining instruction budget. Every condition Run's
 // dispatcher would check between two blocks is re-checked here between two
 // chained blocks — the chain is transparent: it only skips the dispatcher's
@@ -503,9 +460,7 @@ func (c *CPU) SetBlockEngine(on bool) {
 	c.blocks = on
 	if !on && c.dc != nil {
 		// Drop formed blocks so the live Blocks stat reads zero; the decoded
-		// entries stay (they belong to the decode cache), and so do the heat
-		// counters (hotness measures the workload, not the cached state).
-		// Every successor link dies here with the block that holds it — a
+		// entries stay (they belong to the decode cache). Every successor link dies here with the block that holds it — a
 		// re-enabled engine re-forms blocks with empty links, so no chain
 		// can survive a disable/enable cycle and index into the rebuilt
 		// block lists.
@@ -526,79 +481,16 @@ func (c *CPU) BlockEngineEnabled() bool { return c.blocks && c.dc != nil }
 // they form; there is no interpreted block dispatcher left to select.
 func (c *CPU) SetBlockCompile(bool) {}
 
-// SetBlockHotThreshold sets the number of times a block entry offset must
-// be dispatched before a superblock is formed over it. 1 forms eagerly on
-// first dispatch (the pre-gate behaviour); larger values defer formation
-// cost on cold code at the price of single-stepping the first n-1 passes.
-// 0 restores DefaultBlockHotThreshold; values above 255 are clamped (the
-// per-offset counters are bytes).
-func (c *CPU) SetBlockHotThreshold(n int) {
-	switch {
-	case n <= 0:
-		n = DefaultBlockHotThreshold
-	case n > 255:
-		n = 255
-	}
-	c.blockHot = uint32(n)
-}
+// SetBlockHotThreshold is a no-op kept for source compatibility.
+//
+// Deprecated: a superblock forms the first time its entry offset is
+// dispatched; there is no hotness gate left to tune.
+func (c *CPU) SetBlockHotThreshold(int) {}
 
-// BlockHotThreshold reports the current hotness-gate threshold.
-func (c *CPU) BlockHotThreshold() int { return int(c.blockHot) }
-
-// coldGate applies the hotness gate to an unformed block entry offset:
-// true means the dispatch stays cold (single-step) and the offset's heat
-// counter ramps. Entry RIPs named by a seeded heat profile bypass the ramp
-// entirely — a prior campaign already proved them hot, so formation
-// happens on first dispatch, exactly as if the counters had been warmed.
-// Bit-identity is unaffected: formation timing is host-side only (the
-// invariant the hot=1 determinism gates prove).
-func (c *CPU) coldGate(p *dcPage, off int, rip uint64) bool {
-	if h := uint32(p.heat[off]); h+1 < c.blockHot {
-		if c.seedHot != nil {
-			if _, hot := c.seedHot[rip]; hot {
-				return false
-			}
-		}
-		p.heat[off]++
-		c.bstats.Cold++
-		return true
-	}
-	return false
-}
-
-// SeedHotProfile installs a heat profile — block entry RIPs a prior
-// campaign formed superblocks at (HotProfile) — exempting them from the
-// hotness ramp so warm-started runs skip the cold single-step passes.
-// nil clears the profile.
-func (c *CPU) SeedHotProfile(rips []uint64) {
-	if len(rips) == 0 {
-		c.seedHot = nil
-		return
-	}
-	c.seedHot = make(map[uint64]struct{}, len(rips))
-	for _, rip := range rips {
-		c.seedHot[rip] = struct{}{}
-	}
-}
-
-// HotProfile returns the entry RIPs of every currently formed superblock,
-// sorted — the artifact a campaign persists (store.KindHeat) for the next
-// run to SeedHotProfile with.
-func (c *CPU) HotProfile() []uint64 {
-	if c.dc == nil {
-		return nil
-	}
-	var rips []uint64
-	for base, p := range c.dc.pages {
-		for off := 0; off < mem.PageSize; off++ {
-			if p.blkIdx[off] > 0 {
-				rips = append(rips, base+uint64(off))
-			}
-		}
-	}
-	sort.Slice(rips, func(i, j int) bool { return rips[i] < rips[j] })
-	return rips
-}
+// SeedHotProfile is a no-op kept for source compatibility.
+//
+// Deprecated: there is no hotness ramp left for a heat profile to skip.
+func (c *CPU) SeedHotProfile([]uint64) {}
 
 // BlockStats returns a snapshot of the superblock-engine counters. The
 // cumulative counters survive flushes and SetBlockEngine/SetDecodeCache

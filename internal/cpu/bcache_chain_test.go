@@ -14,41 +14,6 @@ func jmpOver(t *testing.T, skip ...isa.Instr) isa.Instr {
 	return isa.Instr{Op: isa.JMP, Imm: int64(len(encodeProg(t, skip...)))}
 }
 
-// TestBlockHotnessGate pins the formation gate: with the default threshold,
-// the first threshold-1 passes over an entry point single-step (deferring
-// formation cost that one-shot code never amortizes), and the threshold-th
-// pass forms and dispatches the block. Results are identical throughout.
-func TestBlockHotnessGate(t *testing.T) {
-	c := rawCPU(t, mem.PermX,
-		isa.MovRI(isa.RAX, 5),
-		isa.AddRI(isa.RAX, 7),
-		isa.Ret(),
-	)
-	const offsets = 3 // every instruction start is a dispatch point while cold
-	for i := 1; i < DefaultBlockHotThreshold; i++ {
-		mustReturn(t, c, 100)
-		if got := c.Reg(isa.RAX); got != 12 {
-			t.Fatalf("pass %d: rax = %d, want 12", i, got)
-		}
-		s := c.BlockStats()
-		if s.Formed != 0 || s.Dispatches != 0 || s.Instrs != 0 {
-			t.Fatalf("pass %d must stay cold: %+v", i, s)
-		}
-		if want := uint64(i * offsets); s.Cold != want {
-			t.Fatalf("pass %d: Cold = %d, want %d", i, s.Cold, want)
-		}
-		resetRaw(t, c)
-	}
-	mustReturn(t, c, 100)
-	if got := c.Reg(isa.RAX); got != 12 {
-		t.Fatalf("hot pass: rax = %d, want 12", got)
-	}
-	s := c.BlockStats()
-	if s.Formed != 1 || s.Dispatches != 1 || s.Instrs != 3 || s.Blocks != 1 {
-		t.Fatalf("threshold-th pass must form and dispatch one block: %+v", s)
-	}
-}
-
 // TestBlockChainStraightLine drives both successor slots: a taken JMP over
 // dead code (taken link), then a not-taken JCC (fallthrough link). The first
 // pass resolves the links lazily; the second follows them from the cache
@@ -74,7 +39,6 @@ func TestBlockChainStraightLine(t *testing.T) {
 	refRes := mustReturn(t, ref, 100)
 
 	c := rawCPU(t, mem.PermX, prog...)
-	c.SetBlockHotThreshold(1)
 	res1 := mustReturn(t, c, 100)
 	s1 := c.BlockStats()
 	if s1.Chained != 2 || s1.Severed != 0 || s1.Dispatches != 3 {
@@ -111,7 +75,6 @@ func TestBlockChainStaleSuccessor(t *testing.T) {
 		isa.MovRI(isa.RCX, succVA),
 		isa.Instr{Op: isa.JMPR, Dst: isa.RCX},
 	)
-	c.SetBlockHotThreshold(1)
 	install := func(imm int64) {
 		t.Helper()
 		if err := c.AS.Poke(succVA, encodeProg(t, isa.MovRI(isa.RAX, imm), isa.Ret())); err != nil {
@@ -160,7 +123,6 @@ func TestBlockChainLimit(t *testing.T) {
 		isa.MovRI(isa.RCX, 3),
 		isa.Ret(),
 	)
-	c.SetBlockHotThreshold(1)
 	res := c.Run(3)
 	if res.Reason != StopLimit || res.Instrs != 3 {
 		t.Fatalf("limit run: %+v", res)
@@ -168,6 +130,9 @@ func TestBlockChainLimit(t *testing.T) {
 	if c.Reg(isa.RBX) != 2 || c.Reg(isa.RCX) == 3 {
 		t.Fatalf("limit stopped at the wrong instruction: rbx=%d rcx=%d",
 			c.Reg(isa.RBX), c.Reg(isa.RCX))
+	}
+	if s := c.BlockStats(); s.StepLimit == 0 {
+		t.Fatalf("the limit bypass must be counted: %+v", s)
 	}
 	res2 := mustReturn(t, c, 100)
 	if res.Instrs+res2.Instrs != 5 {
@@ -187,7 +152,6 @@ func TestBlockStatsConsistency(t *testing.T) {
 		isa.Ret(),
 	}
 	c := rawCPU(t, mem.PermRWX, prog...)
-	c.SetBlockHotThreshold(1)
 
 	cumulative := func(s BlockStats) BlockStats { s.Blocks = 0; return s }
 	mono := func(step string, prev, cur BlockStats) {
@@ -195,7 +159,7 @@ func TestBlockStatsConsistency(t *testing.T) {
 		p, q := cumulative(prev), cumulative(cur)
 		if q.Formed < p.Formed || q.Dispatches < p.Dispatches || q.Instrs < p.Instrs ||
 			q.Aborts < p.Aborts || q.Chained < p.Chained || q.Severed < p.Severed ||
-			q.Cold < p.Cold {
+			q.StepLimit < p.StepLimit || q.StepNoBlock < p.StepNoBlock {
 			t.Fatalf("%s: cumulative counters went backwards: %+v -> %+v", step, prev, cur)
 		}
 	}
@@ -244,7 +208,7 @@ func TestBlockStatsConsistency(t *testing.T) {
 		t.Fatalf("re-enabled engine must re-form: %+v", s5)
 	}
 
-	// Cache toggle: same story, and the heat counters restart from cold.
+	// Cache toggle: same story.
 	c.SetDecodeCache(false)
 	s6 := c.BlockStats()
 	mono("cache off", s5, s6)
@@ -258,22 +222,5 @@ func TestBlockStatsConsistency(t *testing.T) {
 	mono("cache on", s6, s7)
 	if s7.Blocks == 0 {
 		t.Fatalf("fresh cache must re-form on the next run: %+v", s7)
-	}
-}
-
-// TestBlockHotThresholdClamp pins the setter's edge cases.
-func TestBlockHotThresholdClamp(t *testing.T) {
-	c := New(mem.NewAddressSpace())
-	for _, tc := range []struct{ in, want int }{
-		{0, DefaultBlockHotThreshold},
-		{-5, DefaultBlockHotThreshold},
-		{1, 1},
-		{255, 255},
-		{1000, 255},
-	} {
-		c.SetBlockHotThreshold(tc.in)
-		if got := c.BlockHotThreshold(); got != tc.want {
-			t.Errorf("SetBlockHotThreshold(%d): got %d, want %d", tc.in, got, tc.want)
-		}
 	}
 }

@@ -43,7 +43,6 @@ func TestBlockSelfModAbort(t *testing.T) {
 	run := func(blocksOn bool) (uint64, BlockStats, *RunResult) {
 		c := rawCPU(t, mem.PermRWX, prog...)
 		c.SetBlockEngine(blocksOn)
-		c.SetBlockHotThreshold(1) // form on first dispatch: the abort is the point
 		res := mustReturn(t, c, 100)
 		return c.Reg(isa.RAX), c.BlockStats(), res
 	}
@@ -101,12 +100,7 @@ func TestBlockStatsAndToggle(t *testing.T) {
 	if !c.BlockEngineEnabled() {
 		t.Fatal("block engine must default on")
 	}
-	if c.BlockHotThreshold() != DefaultBlockHotThreshold {
-		t.Fatalf("hot threshold must default to %d, got %d",
-			DefaultBlockHotThreshold, c.BlockHotThreshold())
-	}
-	c.SetBlockHotThreshold(1) // single pass must dispatch every instruction
-	mustReturn(t, c, 100)
+	mustReturn(t, c, 100) // a single pass must dispatch every instruction
 	s := c.BlockStats()
 	if s.Formed == 0 || s.Dispatches == 0 || s.Instrs == 0 || s.Blocks == 0 {
 		t.Fatalf("run must go through blocks: %+v", s)
@@ -169,7 +163,6 @@ func TestBlockProbeFallback(t *testing.T) {
 		isa.MovRI(isa.RAX, 5),
 		isa.Ret(),
 	)
-	c.SetBlockHotThreshold(1)
 	p := &blkCountProbe{}
 	c.AddProbe(p)
 	mustReturn(t, c, 100)
@@ -178,6 +171,9 @@ func TestBlockProbeFallback(t *testing.T) {
 	}
 	if p.n != 2 {
 		t.Fatalf("probe saw %d instructions, want 2", p.n)
+	}
+	if s := c.BlockStats().StepProbe; s != 2 {
+		t.Fatalf("StepProbe = %d, want one per probed instruction (2)", s)
 	}
 	c.RemoveProbe(p)
 	resetRaw(t, c)
@@ -228,7 +224,7 @@ func FuzzBlockEquivalence(f *testing.F) {
 			cycles    uint64
 			memory    []byte
 		}
-		run := func(cacheOn, blocksOn bool, hot int) outcome {
+		run := func(cacheOn, blocksOn bool) outcome {
 			as := mem.NewAddressSpace()
 			for _, m := range []struct {
 				va   uint64
@@ -249,7 +245,6 @@ func FuzzBlockEquivalence(f *testing.F) {
 			c := New(as)
 			c.SetDecodeCache(cacheOn)
 			c.SetBlockEngine(blocksOn)
-			c.SetBlockHotThreshold(hot)
 			c.Mode = Kernel
 			c.RIP = dcCodeVA
 			rng := rand.New(rand.NewSource(int64(seed)))
@@ -289,21 +284,17 @@ func FuzzBlockEquivalence(f *testing.F) {
 
 		// The reference is the fully uncached path (fetch+decode and a
 		// freshly built flags-live thunk per instruction); against it:
-		// cached single-step and blocks (eager and behind the default
-		// hotness gate — mixing single-step and block dispatch of the same
-		// code — with flag-dead fusion and cmp/jcc tail fusion). All must be
-		// bit-identical.
-		off := run(false, false, 1)
+		// cached single-step and blocks (with flag-dead fusion and cmp/jcc
+		// tail fusion). All must be bit-identical.
+		off := run(false, false)
 		for _, m := range []struct {
 			name          string
 			cache, blocks bool
-			hot           int
 		}{
-			{"cache-only", true, false, 1},
-			{"blocks(hot=1)", true, true, 1},
-			{"blocks(hot=default)", true, true, DefaultBlockHotThreshold},
+			{"cache-only", true, false},
+			{"blocks", true, true},
 		} {
-			on := run(m.cache, m.blocks, m.hot)
+			on := run(m.cache, m.blocks)
 			if on.res != off.res || on.trap != off.trap ||
 				on.faultKind != off.faultKind || on.faultAddr != off.faultAddr ||
 				on.regs != off.regs || on.rip != off.rip || on.flags != off.flags ||

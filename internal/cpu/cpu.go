@@ -197,18 +197,16 @@ type CPU struct {
 
 	// dc is the predecoded translation cache (see dcache.go); nil when
 	// disabled. blocks arms the superblock engine layered on it (see
-	// bcache.go), blockHot the hotness-gate threshold, and bstats/dstats
-	// the cumulative block-engine and decode-cache counters (on the CPU,
-	// not the cache, so both survive cache toggles under one reset
-	// contract — see BlockStats/DecodeCacheStats). All affect host
-	// wall-clock only — Instrs, Cycles, traps, and probe callbacks are
-	// bit-identical with them on or off.
-	dc       *decodeCache
-	blocks   bool
-	blockHot uint32
-	seedHot  map[uint64]struct{} // entry RIPs exempt from the hotness ramp
-	bstats   BlockStats
-	dstats   DecodeCacheStats
+	// bcache.go), and bstats/dstats are the cumulative block-engine and
+	// decode-cache counters (on the CPU, not the cache, so both survive
+	// cache toggles under one reset contract — see
+	// BlockStats/DecodeCacheStats). All affect host wall-clock only —
+	// Instrs, Cycles, traps, and probe callbacks are bit-identical with
+	// them on or off.
+	dc     *decodeCache
+	blocks bool
+	bstats BlockStats
+	dstats DecodeCacheStats
 }
 
 // New creates a CPU over the given address space. The decode cache and the
@@ -217,8 +215,7 @@ type CPU struct {
 // per-instruction dispatch over cached decodes. Every configuration runs
 // the same per-opcode thunks (thunk.go).
 func New(as *mem.AddressSpace) *CPU {
-	c := &CPU{AS: as, MSRs: make(map[uint64]uint64),
-		blocks: true, blockHot: DefaultBlockHotThreshold}
+	c := &CPU{AS: as, MSRs: make(map[uint64]uint64), blocks: true}
 	c.dc = newDecodeCache(&c.dstats)
 	return c
 }
@@ -362,9 +359,9 @@ func (c *CPU) deliverTrap(t *Trap) *Trap {
 // iteration — and chains block-to-block across successor links without
 // re-entering this loop (bcache.go) — falling back to single-step dispatch
 // whenever an exec probe is installed (the per-instruction callback stream
-// must be produced), a trap is pending, a fetch privilege check fails, the
-// entry point is still cold under the hotness gate, no block starts at RIP,
-// or the remaining limit budget is smaller than the block.
+// must be produced), a trap is pending, a fetch privilege check fails, no
+// block starts at RIP, or the remaining limit budget is smaller than the
+// block. BlockStats counts each bypass by its reason.
 func (c *CPU) Run(limit uint64) *RunResult {
 	res := &RunResult{}
 	startInstrs, startCycles := c.Instrs, c.Cycles
@@ -386,15 +383,20 @@ func (c *CPU) Run(limit uint64) *RunResult {
 		}
 		var stop StopReason
 		var trap *Trap
-		if c.blocks && c.dc != nil && c.probe == nil &&
-			!(c.Mode == User && c.RIP >= UpperHalf) &&
-			!(c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf) {
+		switch {
+		case !c.blocks || c.dc == nil:
+			stop, trap = c.Step()
+		case c.probe != nil:
+			c.bstats.StepProbe++
+			stop, trap = c.Step()
+		case c.Mode == User && c.RIP >= UpperHalf, c.SMEP && c.Mode == Kernel && c.RIP < UpperHalf:
+			c.bstats.StepPriv++
+			stop, trap = c.Step()
+		default:
 			// Fetch privilege holds for the whole block: the mode cannot
 			// change mid-block (mode switches are terminators) and the
 			// block never leaves its page.
 			stop, trap = c.blockStep(limit, done, startInstrs)
-		} else {
-			stop, trap = c.Step()
 		}
 		if trap != nil {
 			if t := c.deliverTrap(trap); t != nil {

@@ -90,11 +90,6 @@ type dcPage struct {
 	// >0 = blocks[blkIdx-1], -1 = no block can start here (cached #UD or
 	// an undecidable page-tail offset).
 	blkIdx [mem.PageSize]int32
-	// heat counts block-dispatch attempts per entry offset for the hotness
-	// gate (bcache.go). Saturating bytes; deliberately NOT cleared by flush —
-	// hotness measures the workload, not the cached bytes, so hot code
-	// re-forms immediately after an invalidation.
-	heat [mem.PageSize]uint8
 }
 
 // flush discards every cached decode — and every block formed over them —
@@ -238,11 +233,11 @@ func (dc *decodeCache) lookup(as *mem.AddressSpace, rip uint64) (e *dcEntry, ud 
 }
 
 // SetDecodeCache enables or disables the predecoded translation cache.
-// Disabling drops all cached state (decodes, blocks, links, and the
-// hotness counters); the cumulative counters — both DecodeCacheStats and
-// the block-engine BlockStats — live on the CPU and survive, so a
-// disable/enable cycle never zeroes history (only the live Pages/Entries
-// footprint reads zero while off). Execution semantics are bit-identical
+// Disabling drops all cached state (decodes, blocks, and links); the
+// cumulative counters — both DecodeCacheStats and the block-engine
+// BlockStats — live on the CPU and survive, so a disable/enable cycle never
+// zeroes history (only the live Pages/Entries footprint reads zero while
+// off). Execution semantics are bit-identical
 // either way — only host wall-clock changes.
 func (c *CPU) SetDecodeCache(on bool) {
 	if on {

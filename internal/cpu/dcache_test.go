@@ -373,7 +373,6 @@ func TestSetDecodeCache(t *testing.T) {
 // never zero history — and a forked CPU restarts both at zero.
 func TestCacheStatsResetUnification(t *testing.T) {
 	c := rawCPU(t, mem.PermX, isa.Nop(), isa.Ret())
-	c.SetBlockHotThreshold(1)
 	for i := 0; i < 4; i++ {
 		resetRaw(t, c)
 		mustReturn(t, c, 100)

@@ -46,8 +46,6 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 		savedUserBnd0:  c.savedUserBnd0,
 		inSyscall:      c.inSyscall,
 		blocks:         c.blocks,
-		blockHot:       c.blockHot,
-		seedHot:        c.seedHot, // read-only after SeedHotProfile; aliasable
 		MSRs:           make(map[uint64]uint64, len(c.MSRs)),
 	}
 	for k, v := range c.MSRs {
@@ -61,8 +59,8 @@ func (c *CPU) Fork(as *mem.AddressSpace) *CPU {
 
 // clone copies the decode cache for a forked CPU, wiring it to the child's
 // own cumulative counters (stats; the child restarts at zero — see
-// DecodeCacheStats). Page structs are copied by value (the offset-index,
-// block-index, and heat arrays come along), entry slices are shared
+// DecodeCacheStats). Page structs are copied by value (the offset-index
+// and block-index arrays come along), entry slices are shared
 // capacity-clamped, and block slices are deep-copied with their chain links
 // re-pointed at the cloned pages — a link into a page the clone does not
 // carry is severed, never followed into the parent's cache. The dcBlock

@@ -35,11 +35,10 @@ type fusionOutcome struct {
 }
 
 // runFusionProgram executes code (already encoded) 4 times on one CPU under
-// the given engine configuration — enough repeats to cross the default
-// hotness gate, so hot=DefaultBlockHotThreshold genuinely mixes stepped and
-// block-dispatched executions of the same bytes — and returns the outcome
-// of every repeat plus the CPU's cumulative Fused count.
-func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn bool, hot int) ([]fusionOutcome, uint64) {
+// the given engine configuration — repeats carry flags and formed blocks
+// over from the previous run — and returns the outcome of every repeat plus
+// the CPU's cumulative Fused count.
+func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn bool) ([]fusionOutcome, uint64) {
 	t.Helper()
 	as := mem.NewAddressSpace()
 	for _, m := range []struct {
@@ -61,7 +60,6 @@ func runFusionProgram(t *testing.T, code []byte, cacheOn, blocksOn bool, hot int
 	c := New(as)
 	c.SetDecodeCache(cacheOn)
 	c.SetBlockEngine(blocksOn)
-	c.SetBlockHotThreshold(hot)
 
 	var outs []fusionOutcome
 	for rep := 0; rep < 4; rep++ {
@@ -178,33 +176,29 @@ func genFusionProgram(rng *rand.Rand) []isa.Instr {
 
 // TestFusionFlagProperty is the fused-thunk flag-semantics property test:
 // for random straight-line ALU programs with injected flag observers, block
-// boundaries, and traps, every engine configuration — cache-only, and
-// blocks eager and hotness-gated — must agree with the uncached path on ALL
-// of CF/OF/SF/ZF/PF (the full %rflags), registers, Instrs, Cycles, and the
-// trap, at every run boundary and at every injected trap. Only blocks run
+// boundaries, and traps, every engine configuration — cache-only and
+// blocks — must agree with the uncached path on ALL of CF/OF/SF/ZF/PF (the
+// full %rflags), registers, Instrs, Cycles, and the trap, at every run
+// boundary and at every injected trap. Only blocks run
 // fused thunks, so the uncached path — flags-live thunks, one per executed
 // instruction — is the reference for the fusion.
 func TestFusionFlagProperty(t *testing.T) {
 	modes := []struct {
 		name          string
 		cache, blocks bool
-		hot           int
 	}{
-		{"cache-only", true, false, 1},
-		{"blocks-hot1", true, true, 1},
-		{"blocks-gated", true, true, DefaultBlockHotThreshold},
+		{"cache-only", true, false},
+		{"blocks", true, true},
 	}
 	var totalFused uint64
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		prog := genFusionProgram(rng)
 		code := encodeProg(t, prog...)
-		ref, _ := runFusionProgram(t, code, false, false, 1)
+		ref, _ := runFusionProgram(t, code, false, false)
 		for _, m := range modes {
-			got, fused := runFusionProgram(t, code, m.cache, m.blocks, m.hot)
-			if m.name == "blocks-hot1" {
-				totalFused += fused
-			}
+			got, fused := runFusionProgram(t, code, m.cache, m.blocks)
+			totalFused += fused
 			for rep := range ref {
 				if got[rep] != ref[rep] {
 					t.Fatalf("seed %d rep %d: %s diverges from uncached reference:\n got: %+v\nwant: %+v\nprogram:\n%v",
@@ -310,8 +304,7 @@ func TestCompileFusionCounts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := rawCPU(t, mem.PermX, tc.prog...)
-			c.SetBlockHotThreshold(1)
-			// Blocks lower to thunks when they form, on first dispatch here.
+			// Blocks lower to thunks when they form, on first dispatch.
 			if res := c.Run(1024); res.Trap != nil {
 				t.Fatalf("trapped: %v", res.Trap)
 			}

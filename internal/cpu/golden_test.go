@@ -218,13 +218,12 @@ func sortedMSRs(m map[uint64]uint64) [][2]h64 {
 	return out
 }
 
-// runForked warms a parent on the case (eager blocks, so the cloned cache
-// carries formed blocks and their successor links), rewinds memory and
-// registers, forks, and runs the case in the child over the shared cache.
+// runForked warms a parent on the case (so the cloned cache carries formed
+// blocks and their successor links), rewinds memory and registers, forks,
+// and runs the case in the child over the shared cache.
 func (gc *goldenCase) runForked(t testing.TB) (*CPU, *RunResult) {
 	t.Helper()
 	parent := gc.build(t)
-	parent.SetBlockHotThreshold(1)
 	s := parent.SaveState()
 	parent.AS.Checkpoint()
 	parent.Run(gc.Limit)
@@ -270,9 +269,8 @@ func loadGolden(t testing.TB) []goldenCase {
 }
 
 // TestGoldenCorpus replays the recorded corpus uncached, through the decode
-// cache alone, with superblocks formed eagerly and behind the default
-// hotness gate, and in a Fork child over a warm cloned cache. Every
-// configuration must reproduce the recorded outcome exactly.
+// cache alone, through superblocks, and in a Fork child over a warm cloned
+// cache. Every configuration must reproduce the recorded outcome exactly.
 func TestGoldenCorpus(t *testing.T) {
 	modes := []struct {
 		name  string
@@ -280,8 +278,7 @@ func TestGoldenCorpus(t *testing.T) {
 	}{
 		{"uncached", func(c *CPU) { c.SetDecodeCache(false) }},
 		{"cache-only", func(c *CPU) { c.SetBlockEngine(false) }},
-		{"blocks-hot1", func(c *CPU) { c.SetBlockHotThreshold(1) }},
-		{"blocks-default", func(c *CPU) {}},
+		{"blocks", func(c *CPU) {}},
 	}
 	cases := loadGolden(t)
 	families := map[string]int{}

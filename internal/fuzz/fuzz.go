@@ -306,6 +306,11 @@ type Executor struct {
 	covSpan  uint64
 	covBits  []uint64
 	covWords []uint32
+
+	// instrs and cycles add up the emulated work every Exec retired —
+	// minimization replays included — since CPU.Instrs/Cycles are rewound
+	// by each snapshot restore.
+	instrs, cycles uint64
 }
 
 // New boots the campaign's kernels (one per worker, all sharing one cached
@@ -495,6 +500,7 @@ func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
 	if err := w.k.Restore(w.snap); err != nil {
 		return res, fmt.Errorf("fuzz: restore: %w", err)
 	}
+	instrs0, cycles0 := w.k.CPU.Instrs, w.k.CPU.Cycles
 	for rip := range w.curCover {
 		delete(w.curCover, rip)
 	}
@@ -557,6 +563,8 @@ func (w *Executor) Exec(prog *Prog, injSeed int64) (ExecResult, error) {
 	if w.tracer != nil {
 		res.Trace = w.tracer.Take()
 	}
+	w.instrs += w.k.CPU.Instrs - instrs0
+	w.cycles += w.k.CPU.Cycles - cycles0
 	return res, nil
 }
 
@@ -587,6 +595,18 @@ func (f *Fuzzer) Kernels() ([]*kernel.Kernel, error) {
 		ks[i] = w.k
 	}
 	return ks, nil
+}
+
+// Retired returns the emulated instructions and cycles every worker's Exec
+// calls retired, summed over workers. The sum covers each iteration and
+// each minimization replay once, so it is the same at any worker count, in
+// fork or boot mode.
+func (f *Fuzzer) Retired() (instrs, cycles uint64) {
+	for _, w := range f.workers {
+		instrs += w.instrs
+		cycles += w.cycles
+	}
+	return instrs, cycles
 }
 
 // ExecIteration re-executes iteration i exactly as the campaign's first

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/diversify"
 	"repro/internal/kernel"
-	"repro/internal/sfi"
 	"repro/internal/store"
 )
 
@@ -150,71 +148,5 @@ func TestCheckpointLongerRerunExtends(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("extended campaign diverges from a single long run:\n--- single ---\n%s--- extended ---\n%s",
 			want.String(), got.String())
-	}
-}
-
-// TestHeatProfileSeedingByteIdentical: seeding a campaign's kernels with a
-// prior run's heat profile (store.KindHeat in the CLI) must leave the report
-// byte-identical — formation timing is host-side only — while cutting the
-// cold single-step passes the hotness ramp costs.
-func TestHeatProfileSeedingByteIdentical(t *testing.T) {
-	// NoCoverage keeps the superblock fast path armed (a coverage probe
-	// disarms it), so the campaign itself exercises the heat ramp.
-	opts := Options{
-		Iters: 100,
-		Seed:  7,
-		Config: core.Config{
-			XOM: core.XOMSFI, SFILevel: sfi.O3,
-			Diversify: true, RAProt: diversify.RAEncrypt,
-			Seed: 42,
-		},
-		NoCoverage: true,
-	}
-
-	f, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := f.Kernel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile := k.CPU.HotProfile()
-	if len(profile) == 0 {
-		t.Fatal("campaign formed no superblocks; nothing to profile")
-	}
-	coldStats := k.CPU.BlockStats()
-
-	warmF, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks, err := warmF.Kernels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wk := range ks {
-		wk.CPU.SeedHotProfile(profile)
-	}
-	warm, err := warmF.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.String() != cold.String() {
-		t.Fatalf("heat seeding changed the report:\n--- cold ---\n%s--- seeded ---\n%s",
-			cold.String(), warm.String())
-	}
-	wk, err := warmF.Kernel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmStats := wk.CPU.BlockStats()
-	if warmStats.Cold >= coldStats.Cold {
-		t.Fatalf("seeded campaign did not skip cold ramp passes: cold=%d vs unseeded %d",
-			warmStats.Cold, coldStats.Cold)
 	}
 }

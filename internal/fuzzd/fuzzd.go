@@ -94,10 +94,6 @@ type Options struct {
 	// scheduling observations, deliberately kept off the deterministic
 	// campaign trace.
 	Tracer *obs.Tracer
-
-	// Tune, when non-nil, adjusts each booted kernel (triage and workers)
-	// after boot — e.g. enabling the block engine.
-	Tune func(*kernel.Kernel)
 }
 
 // OptionsError is the typed validation error New returns for an
@@ -215,16 +211,12 @@ func New(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Tune != nil {
-		opts.Tune(triage.Kernel())
-	}
 	if opts.Transport == nil {
 		opts.Transport = &LocalTransport{
 			Opts:      opts.Fuzz,
 			Chaos:     opts.Chaos,
 			Heartbeat: opts.Heartbeat,
 			StallFor:  3 * opts.LeaseTimeout,
-			Tune:      opts.Tune,
 		}
 	}
 	ledger := fuzz.NewLedger(opts.Fuzz, triage)

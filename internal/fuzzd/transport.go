@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fuzz"
 	"repro/internal/fuzzd/chaos"
-	"repro/internal/kernel"
 )
 
 // Lease is one grant of work: execute iterations [Lo, Hi) of the campaign
@@ -85,10 +84,6 @@ type LocalTransport struct {
 	// its (now stale or late) result. The manager sets it comfortably past
 	// the lease deadline.
 	StallFor time.Duration
-	// Tune, when non-nil, adjusts each worker's kernel after boot (e.g.
-	// enabling the block engine) — mirroring what krxfuzz applies to the
-	// in-process fuzzer's kernels.
-	Tune func(*kernel.Kernel)
 
 	// golden, when Opts.Fork is set, is the lazily booted fork source:
 	// every spawned worker — initial fleet and respawns alike — is a
@@ -101,9 +96,7 @@ type LocalTransport struct {
 }
 
 // newExecutor stands up one worker executor: a fresh boot, or — in fork
-// mode — a copy-on-write fork of the golden executor. Tune runs on each
-// booted kernel; forks inherit the golden kernel's tuned state instead of
-// re-running the hook, so both paths spawn identically tuned workers.
+// mode — a copy-on-write fork of the golden executor.
 func (t *LocalTransport) newExecutor() (*fuzz.Executor, error) {
 	if t.Opts.Fork && t.golden != nil {
 		return t.golden.Fork()
@@ -111,9 +104,6 @@ func (t *LocalTransport) newExecutor() (*fuzz.Executor, error) {
 	ex, err := fuzz.NewExecutor(t.Opts)
 	if err != nil {
 		return nil, err
-	}
-	if t.Tune != nil {
-		t.Tune(ex.Kernel())
 	}
 	if t.Opts.Fork {
 		t.golden = ex

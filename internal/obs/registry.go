@@ -152,7 +152,10 @@ func RegisterBlockEngine(r *Registry, prefix string, cs ...*cpu.CPU) {
 	r.Gauge(prefix+".aborts", stat(func(s cpu.BlockStats) uint64 { return s.Aborts }))
 	r.Gauge(prefix+".chained", stat(func(s cpu.BlockStats) uint64 { return s.Chained }))
 	r.Gauge(prefix+".severed", stat(func(s cpu.BlockStats) uint64 { return s.Severed }))
-	r.Gauge(prefix+".cold", stat(func(s cpu.BlockStats) uint64 { return s.Cold }))
+	r.Gauge(prefix+".step_probe", stat(func(s cpu.BlockStats) uint64 { return s.StepProbe }))
+	r.Gauge(prefix+".step_priv", stat(func(s cpu.BlockStats) uint64 { return s.StepPriv }))
+	r.Gauge(prefix+".step_limit", stat(func(s cpu.BlockStats) uint64 { return s.StepLimit }))
+	r.Gauge(prefix+".step_no_block", stat(func(s cpu.BlockStats) uint64 { return s.StepNoBlock }))
 }
 
 // RegisterDataTLB publishes data-TLB counters under prefix (e.g. "dtlb"),
